@@ -332,11 +332,13 @@ func TestChaosNetMandel(t *testing.T) {
 		}
 	}()
 
-	mw := par.NewNetRMI(par.NetAddressTable(addrs...))
-	mw.SetFaultPolicy(par.FaultPolicy{
+	mw, err := par.DialNet(par.NetAddressTable(addrs...), par.WithFaultPolicy(par.FaultPolicy{
 		Enabled:   true,
 		Reconnect: rmi.ReconnectPolicy{MaxAttempts: 20, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
-	})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer mw.Close()
 	w := Build(spec, 3, Config{
 		Schedule:   Stealing,

@@ -95,7 +95,6 @@ func TestVirtualTimerStop(t *testing.T) {
 func TestVirtualAutoAdvance(t *testing.T) {
 	v := NewVirtual(time.Unix(0, 0))
 	defer v.Close()
-	v.AutoAdvance(100 * time.Microsecond)
 	var done atomic.Int32
 	var wg sync.WaitGroup
 	for i := 1; i <= 5; i++ {
@@ -106,6 +105,11 @@ func TestVirtualAutoAdvance(t *testing.T) {
 			done.Add(1)
 		}(i)
 	}
+	// Every sleeper parks before the pump starts: one that parked after the
+	// pump fired an earlier deadline would measure its own from the advanced
+	// now, and the clock would land past start+5h.
+	v.AwaitWaits(5)
+	v.AutoAdvance(100 * time.Microsecond)
 	wg.Wait()
 	if done.Load() != 5 {
 		t.Fatalf("done = %d, want 5", done.Load())

@@ -194,10 +194,10 @@
 // The behaviour above is fail-fast: one lost connection poisons its peer's
 // window permanently. [FaultPolicy] ([WithFaultPolicy] at [DialNet],
 // netfault.go) turns on the resilience layer for long-lived deployments;
-// the zero value
-// keeps every dispatch path bit-identical to fail-fast. Three mechanisms
-// compose, each building on the session layer package rmi provides (epoch
-// handshakes, session-tracked requests, server-side at-most-once dedupe):
+// the zero value keeps every dispatch path bit-identical to fail-fast. Three
+// mechanisms compose, each building on the session layer package rmi
+// provides (epoch handshakes, session-tracked requests, server-side
+// at-most-once dedupe):
 //
 //   - Reconnect + replay. Every call — windowed pack, synchronous gather,
 //     one-way void send — is journaled per peer, keyed by a session
@@ -237,17 +237,44 @@
 // keeps orphaning goes dead (its queued packs stay stealable); if every
 // replica is lost with work outstanding, the round aborts with an error.
 //
+// The recovery itself is one state machine. Every peer and every export
+// record carries one state, and every change to it is a transition of a
+// single pure table (step in netfault.go), driven by the goroutines that
+// exist anyway:
+//
+//	state \ event   fault         heal        lose
+//	healthy         recovering    —           dead
+//	recovering      —             healthy     dead
+//	dead            —             —           —
+//
+// For a peer, fault is a transport failure, a drain or a creation retry
+// claiming it: exactly one recovery goroutine runs per claim, and
+// submissions journal without transmitting until it ends — heal once the
+// journal replayed (same epoch, or after reincarnation), lose once it was
+// redirected to a survivor, dropped, or abandoned because its generation
+// ended. For an export, fault is a move claiming it (reincarnation,
+// failover, drain, or a late failover of an object stranded on a dead
+// peer): submissions wait it out, then heal sends them to the new home,
+// and lose — the target refused the class, or the peer was dropped — fails
+// them. A "—" cell is a no-op: a second failure while recovering starts
+// no second recovery, and nothing leaves dead.
+//
+// Every place work must leave a node — crash failover, late failover,
+// creation retargeting, drain — walks the same candidate list: surviving
+// nodes in ascending ID, uncordoned first, a cordoned node only as a last
+// resort, and never one for a drain.
+//
 // Two guards close the reset race: NetRMI.Reset bumps the journal
 // generation (an in-flight recovery abandons instead of resurrecting
 // pre-reset exports), and the node's reset rotates its session epoch (a
 // replay that slips past the client-side check is rejected as stale,
-// rmi.ErrStaleSession). [NetRMI.FaultStats] counts reconnects, replays,
-// failovers, dropped peers, requeued orphans and abandoned recoveries; the
-// chaos CI matrix kills node daemons at seeded points mid-run and pins
-// every cell to the hand-coded oracle. The journal holds constructor
-// arguments and applied calls for the run's lifetime — bounded work for
-// experiment-shaped runs; checkpointing the history is the noted cost of
-// truly unbounded ones.
+// rmi.ErrStaleSession, and fails with a typed [FaultError]).
+// [NetRMI.FaultStats] counts reconnects, replays, failovers, dropped
+// peers, requeued orphans and abandoned recoveries; the chaos CI matrix
+// kills node daemons at seeded points mid-run and pins every cell to the
+// hand-coded oracle. The journal holds constructor arguments and applied
+// calls for the run's lifetime, bounded by FaultPolicy.CheckpointEvery for
+// classes that define Snapshot and Restore.
 //
 // Every timed decision the fault layer makes — the reconnect backoff
 // schedule, the export-retry pacing, a server's close-drain grace, the RTT
@@ -263,10 +290,8 @@
 //
 // [DialNet] is the configuration seam for all of the above: it fixes the
 // clock, fault policy, codec preference and stream count as functional
-// options before dialing any node, removing the call-order invariant the
-// deprecated setters (NetRMI.SetClock before NetRMI.SetFaultPolicy before
-// the first dial) used to impose. The setters remain as shims for existing
-// callers; new code passes options.
+// options before dialing any node, so no connection ever observes a
+// half-configured middleware.
 //
 // # Membership & health (elastic pool)
 //

@@ -44,6 +44,13 @@ import (
 //     surviving node hosts the class, the journal is failed with a typed
 //     NoFailoverError that Join surfaces: fail fast, not silent loss.
 //
+// Every peer and every export carries one fstate, and the only writes to it
+// are step's transitions (see the table below), applied through
+// netFaults.to. The goroutines that exist anyway drive it: a transport
+// outcome or a drain claims a peer for recovery, a re-homing move claims an
+// export, and each ends in healthy (journal replayed, move finished) or dead
+// (failed over, dropped, refused, or its generation ended).
+//
 // Everything is guarded by a generation counter: NetRMI.Reset (a driver
 // starting a fresh run) and Close bump it, and a recovery observing a stale
 // generation abandons instead of resurrecting pre-reset exports. The node
@@ -60,10 +67,6 @@ type FaultPolicy struct {
 	// value selects rmi.ReconnectPolicy's defaults (5 attempts, 5ms..250ms
 	// exponential backoff).
 	Reconnect rmi.ReconnectPolicy
-	// MaxRecoveryRounds is the number of full reconnect+replay cycles per
-	// failure before the peer is declared lost (a replay can itself hit a
-	// dying node); 0 selects 2.
-	MaxRecoveryRounds int
 	// NoFailover keeps recovery reconnect-only: a lost peer's calls fail
 	// (or requeue, see RequeueOrphans) instead of moving its objects to a
 	// surviving node.
@@ -85,12 +88,10 @@ type FaultPolicy struct {
 	CheckpointEvery int
 }
 
-func (p FaultPolicy) withDefaults() FaultPolicy {
-	if p.MaxRecoveryRounds <= 0 {
-		p.MaxRecoveryRounds = 2
-	}
-	return p
-}
+// maxRecoveryRounds is the number of full reconnect+replay cycles per
+// failure before the peer is declared lost: a replay can itself hit a dying
+// node, so one retry round is allowed.
+const maxRecoveryRounds = 2
 
 // FaultStats counts what the fault layer did — the observability a
 // resilience mechanism needs to be trusted. Snapshot via NetRMI.FaultStats.
@@ -168,18 +169,89 @@ func (e *NoFailoverError) Error() string {
 // Unwrap implements errors.Is/As chaining.
 func (e *NoFailoverError) Unwrap() error { return e.Err }
 
-// errPeerLost is the base cause of calls dropped with an unreachable peer.
-var errPeerLost = errors.New("peer unreachable after reconnect budget")
-
-// errMWReset marks calls invalidated by a middleware Reset racing recovery.
-var errMWReset = errors.New("netrmi reset")
-
-// peer fault states.
-const (
-	pfHealthy = iota
-	pfRecovering
-	pfDead
+var (
+	// errPeerLost is the base cause of calls dropped with an unreachable peer.
+	errPeerLost = errors.New("peer unreachable after reconnect budget")
+	// errSessionLost is the cause of windowed calls requeued because their
+	// node restarted before acknowledging them.
+	errSessionLost = errors.New("session lost before acknowledgement")
+	// errMWReset marks calls invalidated by a middleware Reset racing recovery.
+	errMWReset = errors.New("netrmi reset")
 )
+
+// --- State machine -----------------------------------------------------------
+
+// fstate is the recovery state of one peer or one export.
+type fstate uint8
+
+const (
+	// stHealthy: a peer whose calls transmit directly; an export that
+	// serves where its record says.
+	stHealthy fstate = iota
+	// stRecovering: a peer owned by its one recovery (or drain) goroutine —
+	// submissions journal without transmitting; an export mid re-homing —
+	// submissions wait it out.
+	stRecovering
+	// stDead: terminal. A peer that failed over, was dropped or was
+	// abandoned; an export that no node would re-create, or whose peer was
+	// dropped. Submissions fail (or late-fail over, see lateFailover).
+	stDead
+	stInvalid // sentinel: marks the illegal cells of the table
+)
+
+// fevent is what happened to a peer or an export.
+type fevent uint8
+
+const (
+	// evFault claims the record: a transport failure, a drain, or a
+	// creation retry starts the peer's recovery; a move starts re-homing an
+	// export.
+	evFault fevent = iota
+	// evHeal releases it healthy: the journal replayed, the move finished.
+	evHeal
+	// evLose ends it: the journal was failed over, dropped or abandoned;
+	// the export was refused re-creation or lost with its peer.
+	evLose
+)
+
+// transitions is the whole fault layer's state table:
+//
+//	state \ event   evFault       evHeal      evLose
+//	healthy         recovering    —           dead
+//	recovering      —             healthy     dead
+//	dead            —             —           —
+//
+// A "—" cell is a no-op the caller observes as false: a second failure
+// while recovering does not start a second recovery, a move finishing on an
+// export that died meanwhile keeps it dead, and nothing leaves dead.
+var transitions = [...][3]fstate{
+	stHealthy:    {evFault: stRecovering, evHeal: stInvalid, evLose: stDead},
+	stRecovering: {evFault: stInvalid, evHeal: stHealthy, evLose: stDead},
+	stDead:       {stInvalid, stInvalid, stInvalid},
+}
+
+// step is the pure transition function over the table: the next state and
+// whether ev is legal in s (illegal events leave s unchanged).
+func step(s fstate, ev fevent) (fstate, bool) {
+	if next := transitions[s][ev]; next != stInvalid {
+		return next, true
+	}
+	return s, false
+}
+
+// to applies ev to *st — a peer's or an export's state — through step and
+// wakes every waiter on a change: the one place fault state is written.
+// fa.mu held.
+func (fa *netFaults) to(st *fstate, ev fevent) bool {
+	next, ok := step(*st, ev)
+	if ok {
+		*st = next
+		fa.cond.Broadcast()
+	}
+	return ok
+}
+
+// --- Records -----------------------------------------------------------------
 
 // netCall is one journaled invocation: it stays in its peer's in-flight
 // journal from submission until the server's acknowledgement, which is what
@@ -208,7 +280,7 @@ type netCall struct {
 // key on (client, stream) and each stream carries its own FIFO seq space.
 type peerFault struct {
 	node  exec.NodeID
-	state int
+	state fstate
 
 	// journals maps stream id → that stream's journal. Stream 0 is the
 	// control lane (exports, resets); objects multiplexed across streams
@@ -241,7 +313,9 @@ type streamJournal struct {
 
 // netExport is the fault layer's record of one placed object: everything
 // needed to re-create it — constructor arguments and the history of applied
-// calls — plus its current placement.
+// calls — plus its current placement and state (stRecovering while a move
+// owns it: one move at a time, and submissions wait it out rather than read
+// or mutate the target's half-rebuilt state).
 type netExport struct {
 	ref      *NetRef
 	name     string
@@ -250,7 +324,7 @@ type netExport struct {
 	stream   uint32 // dispatch stream the object's calls ride; kept across failover
 	ctorArgs []any
 	history  []histEntry
-	dead     bool
+	state    fstate
 
 	// checkpoint is the last Snapshot result (Restore's arguments);
 	// history holds only the calls applied after it. ckptPending gates one
@@ -259,11 +333,6 @@ type netExport struct {
 	checkpoint  []any
 	ckptPending bool
 	ckptOff     bool
-
-	// moving is the re-homing gate, claimed by reexport for the remap +
-	// history-replay window: one move at a time, and submissions wait it out
-	// rather than read or mutate the target's half-rebuilt state.
-	moving bool
 }
 
 type histEntry struct {
@@ -301,7 +370,7 @@ var faultNonce atomic.Int64
 func newNetFaults(m *NetRMI, policy FaultPolicy) *netFaults {
 	fa := &netFaults{
 		m:      m,
-		policy: policy.withDefaults(),
+		policy: policy,
 		// The nonce is the session identity the node's dedupe keys on, so two
 		// middleware instances must never share one. Clock+counter alone can
 		// collide across hosts (same nanosecond, counters both at 1), and a
@@ -362,6 +431,13 @@ func (fa *netFaults) journalOf(node exec.NodeID, stream uint32) *streamJournal {
 	return fa.journalLocked(fa.peerLocked(node), stream)
 }
 
+// generation returns the live journal generation.
+func (fa *netFaults) generation() int64 {
+	fa.mu.Lock()
+	defer fa.mu.Unlock()
+	return fa.gen
+}
+
 // stale reports whether gen no longer names the live generation.
 func (fa *netFaults) stale(gen int64) bool {
 	fa.mu.Lock()
@@ -388,7 +464,7 @@ func (fa *netFaults) exportsOn(node exec.NodeID) []*netExport {
 	defer fa.mu.Unlock()
 	var out []*netExport
 	for _, exp := range fa.exports {
-		if exp.node == node && !exp.dead {
+		if exp.node == node && exp.state != stDead {
 			out = append(out, exp)
 		}
 	}
@@ -454,7 +530,8 @@ func (fa *netFaults) invokeSync(obj any, method string, args []any, void bool) (
 // submit journals one call and transmits it, unless its peer is recovering
 // (the recovery loop transmits queued entries in order) or lost (the call is
 // delivered failed immediately). ref resolution failed upstream when exp is
-// absent.
+// absent. This is the asynchronous twin of roundTrip: the same seq-then-post
+// send section, with the journal entry in place of a wait.
 func (fa *netFaults) submit(call *netCall) {
 	for {
 		fa.mu.Lock()
@@ -464,13 +541,13 @@ func (fa *netFaults) submit(call *netCall) {
 			fa.finish(call, nil, 0, fmt.Errorf("par: netrmi invoke on unexported object (%s)", call.method))
 			return
 		}
-		for exp.moving && !fa.closed {
+		for exp.state == stRecovering && !fa.closed {
 			// Mid re-homing: the new placement hosts a half-rebuilt object
 			// until the history replay finishes. No locks held but fa.mu (which
 			// Wait releases), so the replay can make progress.
 			fa.cond.Wait()
 		}
-		if exp.dead {
+		if exp.state == stDead {
 			node := exp.node
 			fa.mu.Unlock()
 			fa.deliverOrphan(call, node, errPeerLost)
@@ -484,7 +561,7 @@ func (fa *netFaults) submit(call *netCall) {
 
 		sj.sendMu.Lock()
 		fa.mu.Lock()
-		if fa.exports[call.ref] != exp || exp.dead || exp.node != node || exp.moving {
+		if fa.exports[call.ref] != exp || exp.state != stHealthy || exp.node != node {
 			// The placement moved (failover), started moving, or the journal
 			// generation ended while we queued for the stream's send slot:
 			// resolve again.
@@ -492,7 +569,7 @@ func (fa *netFaults) submit(call *netCall) {
 			sj.sendMu.Unlock()
 			continue
 		}
-		if pf.state == pfDead {
+		if pf.state == stDead {
 			fa.mu.Unlock()
 			sj.sendMu.Unlock()
 			if fa.lateFailover(exp, node) {
@@ -506,7 +583,7 @@ func (fa *netFaults) submit(call *netCall) {
 		call.stream = stream
 		sj.inflight[call.seq] = call
 		sj.order = append(sj.order, call.seq)
-		recovering := pf.state == pfRecovering
+		recovering := pf.state == stRecovering
 		gen := fa.gen
 		fa.mu.Unlock()
 		if !recovering {
@@ -563,7 +640,7 @@ func (fa *netFaults) onOutcome(pf *peerFault, call *netCall, gen int64, res []an
 		// The node's session epoch rotated under us (a reset raced this
 		// call): the journal is for a session that no longer exists. Never
 		// replay into the fresh one.
-		fa.settle(pf, call, nil, 0, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: err})
+		fa.settle(pf, call, nil, 0, faultErr(call, pf.node, err))
 		return
 	}
 	// Transport failure: the call may or may not have been applied — exactly
@@ -581,10 +658,7 @@ func (fa *netFaults) onOutcome(pf *peerFault, call *netCall, gen int64, res []an
 		}
 		return
 	}
-	start := pf.state == pfHealthy
-	if start {
-		pf.state = pfRecovering
-	}
+	start := fa.to(&pf.state, evFault)
 	fa.mu.Unlock()
 	if start {
 		go fa.recover(pf, gen)
@@ -610,7 +684,7 @@ func (fa *netFaults) settle(pf *peerFault, call *netCall, res []any, svc time.Du
 	}
 	dropLocked(sj, call.seq)
 	if err == nil && !call.ckpt {
-		if exp := fa.exports[call.ref]; exp != nil && !exp.dead {
+		if exp := fa.exports[call.ref]; exp != nil && exp.state != stDead {
 			exp.history = append(exp.history, histEntry{method: call.method, args: call.args})
 			if fa.policy.CheckpointEvery > 0 && !exp.ckptOff && !exp.ckptPending &&
 				len(exp.history) >= fa.policy.CheckpointEvery {
@@ -637,25 +711,18 @@ func (fa *netFaults) checkpoint(exp *netExport) {
 		ref: exp.ref, method: "Snapshot", ckpt: true,
 		deliver: func(res []any, _ time.Duration, err error) {
 			fa.mu.Lock()
+			defer fa.mu.Unlock()
 			exp.ckptPending = false
-			if err != nil {
-				// Only a servant-level refusal disables checkpointing; a
-				// transport-path failure leaves the gate open for a retry
-				// after the next applied call.
-				if isExecuted(err) {
-					exp.ckptOff = true
-				}
-				fa.mu.Unlock()
-				return
-			}
-			if exp.dead {
-				fa.mu.Unlock()
+			// Only a servant-level refusal disables checkpointing; a
+			// transport-path failure leaves the gate open for a retry after
+			// the next applied call.
+			exp.ckptOff = exp.ckptOff || isExecuted(err)
+			if err != nil || exp.state == stDead {
 				return
 			}
 			// Non-nil even for an empty snapshot: nil means "no checkpoint".
 			exp.checkpoint = append(make([]any, 0, len(res)), res...)
 			exp.history = nil
-			fa.mu.Unlock()
 			fa.checkpoints.Add(1)
 		},
 	})
@@ -691,14 +758,18 @@ func (fa *netFaults) recordErr(err error) {
 	fa.mu.Unlock()
 }
 
+// faultErr is the terminal FaultError of call against node.
+func faultErr(call *netCall, node exec.NodeID, err error) *FaultError {
+	return &FaultError{Object: call.ref.Name, Method: call.method, Node: node, Err: err}
+}
+
 // deliverOrphan fails one call against a lost peer: retryable — so the
 // stealing scheduler re-absorbs the pack — when the policy requeues orphans
 // and the call is a windowed pack with a caller to hand it back to.
 func (fa *netFaults) deliverOrphan(call *netCall, node exec.NodeID, cause error) {
-	retry := fa.policy.RequeueOrphans && call.windowed && call.deliver != nil
-	fe := &FaultError{Object: call.ref.Name, Method: call.method, Node: node, Retryable: retry, Err: cause}
-	if retry {
-		fe.Args = call.args
+	fe := faultErr(call, node, cause)
+	if fa.policy.RequeueOrphans && call.windowed && call.deliver != nil {
+		fe.Retryable, fe.Args = true, call.args
 		fa.requeues.Add(1)
 	}
 	fa.finish(call, nil, 0, fe)
@@ -708,140 +779,129 @@ func (fa *netFaults) deliverOrphan(call *netCall, node exec.NodeID, cause error)
 
 // recover is the per-peer recovery loop: reconnect, then replay (same
 // epoch), reincarnate + replay (new epoch), or fail the peer over when the
-// budget is spent. Exactly one recovery goroutine runs per peer at a time
-// (guarded by the pfRecovering state).
+// budget is spent. Exactly one recovery goroutine runs per peer at a time:
+// only the evFault transition that claimed the peer starts one.
 func (fa *netFaults) recover(pf *peerFault, gen int64) {
-	client := fa.m.clientOf(pf.node)
-	if client == nil {
-		fa.failPeer(pf, gen)
-		return
-	}
-	for round := 0; round < fa.policy.MaxRecoveryRounds; round++ {
-		if fa.stale(gen) {
-			fa.abandon(pf)
-			return
-		}
-		sameEpoch, err := client.Reconnect()
-		if err != nil {
-			break // unreachable within the dial budget
-		}
-		fa.reconnects.Add(1)
-		ok := sameEpoch || fa.reincarnate(pf, gen, pf.node)
-		if ok && fa.replayJournal(pf, gen, sameEpoch) {
-			return // replayJournal healed the peer under the lock
-		}
-		if fa.stale(gen) {
-			fa.abandon(pf)
-			return
+	if client := fa.m.clientOf(pf.node); client != nil {
+		for round := 0; round < maxRecoveryRounds && !fa.stale(gen); round++ {
+			sameEpoch, err := client.Reconnect()
+			if err != nil {
+				break // unreachable within the dial budget
+			}
+			fa.reconnects.Add(1)
+			// A new incarnation's sessions started empty: rebuild its objects
+			// first, and requeue rather than replay its windowed orphans when
+			// the policy says so.
+			var orphan error
+			if !sameEpoch && fa.policy.RequeueOrphans {
+				orphan = errSessionLost
+			}
+			tp, err := fa.m.peer(pf.node)
+			ok := sameEpoch || (err == nil && fa.reincarnate(pf, gen, tp, pf.node))
+			if ok && fa.drainJournal(pf, gen, sameEpoch, orphan, evHeal) {
+				return // drainJournal healed the peer under the lock
+			}
 		}
 	}
 	fa.failPeer(pf, gen)
 }
 
-// replayJournal drains the peer's stream journals — streams in ascending id,
-// each stream's entries in submission order — replaying each entry
-// synchronously: with its original (stream, seq) after a same-epoch
-// reconnect, so the server's per-stream dedupe absorbs already-applied
-// calls; with fresh sequence numbers against a new incarnation, whose
-// sessions started empty. Under RequeueOrphans, a new incarnation's
-// windowed entries are handed back to the scheduler instead of replayed.
-// Entries submitted while recovery runs are part of the same drain. When
-// every journal is empty the peer is healed atomically; a transport failure
-// mid-replay returns false and the caller starts another round.
-func (fa *netFaults) replayJournal(pf *peerFault, gen int64, sameEpoch bool) bool {
-	requeue := !sameEpoch && fa.policy.RequeueOrphans
+// drainJournal replays pf's journals until they are empty — streams in
+// ascending id (the control lane first), each stream in submission order —
+// and then applies final to the peer: evHeal once a reconnect has replayed
+// everything, evLose once a failover or drain has redirected it. Each entry
+// replays where its export now lives: pf.node itself after a reconnect, the
+// survivor its object was just rebuilt on after a failover. reuse keeps the
+// original sequence numbers (a same-epoch reconnect: the node's per-stream
+// dedupe absorbs calls applied before the connection died); otherwise
+// replays draw fresh ones, since a new incarnation's sessions started
+// empty. A non-nil orphan hands windowed entries back to their callers as
+// retryable FaultErrors with that cause instead of replaying them. Entries
+// submitted while recovery runs are part of the same drain. A transport
+// failure mid-replay returns false: the caller starts another round or
+// tries another target.
+func (fa *netFaults) drainJournal(pf *peerFault, gen int64, reuse bool, orphan error, final fevent) bool {
 	for {
 		fa.mu.Lock()
 		if gen != fa.gen || fa.closed {
 			fa.mu.Unlock()
 			return false
 		}
-		// Lowest non-empty stream first: a deterministic drain order, with the
-		// control lane (stream 0) replayed ahead of object traffic.
 		var sj *streamJournal
-		found := false
 		var stream uint32
 		for id, j := range pf.journals {
-			if len(j.order) > 0 && (!found || id < stream) {
-				sj, stream, found = j, id, true
+			if len(j.order) > 0 && (sj == nil || id < stream) {
+				sj, stream = j, id
 			}
 		}
-		if !found {
-			pf.state = pfHealthy
-			fa.cond.Broadcast()
+		if sj == nil {
+			fa.to(&pf.state, final)
 			fa.mu.Unlock()
 			return true
 		}
-		seq := sj.order[0]
-		call := sj.inflight[seq]
-		fa.mu.Unlock()
-		if requeue && call.windowed && call.deliver != nil {
-			fa.mu.Lock()
-			live := sj.inflight[seq] == call
-			if live {
-				dropLocked(sj, seq)
-			}
+		call := sj.inflight[sj.order[0]]
+		if orphan != nil && call.windowed && call.deliver != nil {
+			dropLocked(sj, call.seq)
 			fa.cond.Broadcast()
 			fa.mu.Unlock()
-			if live {
-				fa.deliverOrphan(call, pf.node, errors.New("session lost before acknowledgement"))
-			}
+			fa.deliverOrphan(call, pf.node, orphan)
 			continue
 		}
-		// A same-epoch replay reuses the original sequence number so the
-		// server's dedupe absorbs already-applied calls; a new incarnation's
-		// sessions started empty, so replays take fresh numbers there.
-		fixed := uint64(0)
-		if sameEpoch {
-			fixed = seq
+		wire, seq := sj, uint64(0)
+		if reuse {
+			seq = call.seq
 		}
-		res, svc, err := fa.replayOnce(call, fixed, sj)
-		if err != nil && !isExecuted(err) && !errors.Is(err, rmi.ErrStaleSession) {
-			return false // transport failure: next round reconnects again
+		if exp := fa.exports[call.ref]; exp != nil && exp.node != pf.node {
+			wire = fa.journalLocked(fa.peerLocked(exp.node), stream)
+		}
+		fa.mu.Unlock()
+		stub, err := fa.m.stubOf(call.method, call.ref)
+		if err != nil {
+			return false
+		}
+		_, res, svc, err := fa.roundTrip(stub, wire, seq, call.method, call.args)
+		if err == nil {
+			fa.m.stats.count(2, int64(fa.m.sizer.Size(call.args)+approxReplySize(res)))
 		}
 		if errors.Is(err, rmi.ErrStaleSession) {
-			err = &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: err}
+			// The node's epoch rotated mid-replay (a reset raced it): the
+			// outcome is terminal and typed, as on the live path.
+			err = faultErr(call, pf.node, err)
+		} else if err != nil && !isExecuted(err) {
+			return false // transport failure: reconnect again, or try another target
 		}
 		fa.replays.Add(1)
 		fa.settle(pf, call, res, svc, err)
 	}
 }
 
-// replayOnce re-executes one journaled call synchronously over the (just
-// reconnected) transport. Either the original sequence number is reused
-// (fixed, same-epoch replay) or a fresh one is drawn from wire's counter;
-// in both cases allocation and post share the stream journal's send section
-// — the stream's wire order equals its sequence order even when healthy
-// submissions to the same stream (a failover target carrying live traffic)
-// interleave — while the response wait happens outside it.
-func (fa *netFaults) replayOnce(call *netCall, fixed uint64, wire *streamJournal) ([]any, time.Duration, error) {
-	stub, err := fa.m.stubOf(call.method, call.ref)
-	if err != nil {
-		return nil, 0, err
-	}
+// roundTrip runs one session-tracked call synchronously on stub. The
+// sequence number — seq itself when non-zero (a same-epoch replay, or a
+// creation retried across a recovery: an application whose acknowledgement
+// was lost dedupes instead of running twice), else sj's next — is drawn and
+// the request posted inside sj's send section, so the stream's wire order
+// equals its sequence order even when live submissions interleave; the wait
+// for the outcome happens outside it. The seq used is returned.
+func (fa *netFaults) roundTrip(stub *rmi.Stub, sj *streamJournal, seq uint64, method string, args []any) (uint64, []any, time.Duration, error) {
 	type out struct {
 		res []any
 		svc time.Duration
 		err error
 	}
 	ch := make(chan out, 1)
-	wire.sendMu.Lock()
-	seq := fixed
+	sj.sendMu.Lock()
 	if seq == 0 {
 		fa.mu.Lock()
-		wire.nextSeq++
-		seq = wire.nextSeq
+		sj.nextSeq++
+		seq = sj.nextSeq
 		fa.mu.Unlock()
 	}
-	stub.InvokeSeq(call.method, seq, func(res []any, svc time.Duration, err error) {
+	stub.InvokeSeq(method, seq, func(res []any, svc time.Duration, err error) {
 		ch <- out{res, svc, err}
-	}, call.args...)
-	wire.sendMu.Unlock()
+	}, args...)
+	sj.sendMu.Unlock()
 	o := <-ch
-	if o.err == nil {
-		fa.m.stats.count(2, int64(fa.m.sizer.Size(call.args)+approxReplySize(o.res)))
-	}
-	return o.res, o.svc, o.err
+	return seq, o.res, o.svc, o.err
 }
 
 // reincarnate re-creates every object placed on pf.node at target (the same
@@ -849,55 +909,47 @@ func (fa *netFaults) replayOnce(call *netCall, fixed uint64, wire *streamJournal
 // object's applied-call history in order, reconstructing the state the lost
 // incarnation took with it. Re-execution is correct exactly because the
 // previous incarnation's effects are gone.
-func (fa *netFaults) reincarnate(pf *peerFault, gen int64, target exec.NodeID) bool {
-	tp, err := fa.m.peer(target)
-	if err != nil {
-		return false
-	}
+func (fa *netFaults) reincarnate(pf *peerFault, gen int64, tp *netPeer, target exec.NodeID) bool {
 	for _, exp := range fa.exportsOn(pf.node) {
-		if fa.stale(gen) {
-			return false
-		}
-		if !fa.reexport(exp, tp, target, gen) {
+		if fa.stale(gen) || !fa.reexport(exp, tp, target, gen) {
 			return false
 		}
 	}
 	return true
 }
 
-// reexport runs one object's creation protocol at target and replays its
-// history there; on success the object's placement (registry, stubs, the
-// export record) is remapped.
+// reexport moves one object: it claims the export (evFault — one move at a
+// time; from here until the last history entry lands the target hosts a
+// half-rebuilt object, and submit waits the claim out holding no stream send
+// slot, so the replay cannot deadlock against it), runs the creation
+// protocol at target, remaps the placement (registry, stubs, the export
+// record) and replays the history there. It ends the claim healthy, or dead
+// when target refused the object. False means a transport failure: try
+// again or elsewhere. A dead export has nothing to move and reports true.
 func (fa *netFaults) reexport(exp *netExport, tp *netPeer, target exec.NodeID, gen int64) bool {
-	// Claim the export's re-homing gate: from the remap below until the last
-	// history entry lands, the target hosts a HALF-REBUILT object, and a live
-	// submission slipping in between replay entries would read or mutate
-	// partial state. submit waits the gate out (holding no stream send slot,
-	// so the replay it is waiting on cannot deadlock against it).
 	fa.mu.Lock()
-	for exp.moving && !fa.closed {
+	for exp.state == stRecovering && !fa.closed {
 		fa.cond.Wait()
 	}
-	if fa.closed {
+	if fa.closed || !fa.to(&exp.state, evFault) {
+		closed := fa.closed
 		fa.mu.Unlock()
-		return false
+		return !closed
 	}
-	exp.moving = true
 	fa.mu.Unlock()
+	end := evHeal
 	defer func() {
 		fa.mu.Lock()
-		exp.moving = false
-		fa.cond.Broadcast()
+		fa.to(&exp.state, end)
 		fa.mu.Unlock()
 	}()
-	ctl := fa.journalOf(target, 0) // creation rides the control lane
 	ctlArgs := append([]any{exp.class.Name(), exp.name}, exp.ctorArgs...)
-	if _, _, err := fa.ctlCall(tp, ctl, 0, rmi.CtlExportNew, ctlArgs); err != nil {
+	if _, _, _, err := fa.roundTrip(tp.ctl, fa.journalOf(target, 0), 0, rmi.CtlExportNew, ctlArgs); err != nil {
 		if isExecuted(err) {
 			// The node answered but refused — it does not host the class, or
 			// the name is taken: nowhere to rebuild this object.
 			fa.recordErr(&NoFailoverError{Object: exp.name, Class: exp.class.Name(), Node: exp.node, Err: err})
-			fa.markDead(exp)
+			end = evLose
 			return true // other exports may still recover
 		}
 		return false
@@ -927,105 +979,78 @@ func (fa *netFaults) reexport(exp *netExport, tp *netPeer, target exec.NodeID, g
 		if fa.stale(gen) {
 			return false
 		}
-		type out struct{ err error }
-		ch := make(chan out, 1)
-		tsj.sendMu.Lock()
-		fa.mu.Lock()
-		tsj.nextSeq++
-		seq := tsj.nextSeq
-		fa.mu.Unlock()
-		stub.InvokeSeq(h.method, seq, func(_ []any, _ time.Duration, err error) { ch <- out{err} }, h.args...)
-		tsj.sendMu.Unlock()
-		if o := <-ch; o.err != nil {
-			if isExecuted(o.err) {
-				// The original application succeeded, the reconstruction did
-				// not: the rebuilt state is incomplete — surface it.
-				fa.recordErr(fmt.Errorf("par: netrmi history replay of %s.%s at node %d: %w", exp.name, h.method, target, o.err))
-				continue
+		if _, _, _, err := fa.roundTrip(stub, tsj, 0, h.method, h.args); err != nil {
+			if !isExecuted(err) {
+				return false
 			}
-			return false
+			// The original application succeeded, the reconstruction did
+			// not: the rebuilt state is incomplete — surface it.
+			fa.recordErr(fmt.Errorf("par: netrmi history replay of %s.%s at node %d: %w", exp.name, h.method, target, err))
+			continue
 		}
 		fa.replays.Add(1)
 	}
 	return true
 }
 
-// ctlCall runs one session-tracked control call synchronously on the
-// control lane (stream 0); seq assignment and post share one sendMu
-// section, keeping wire order equal to sequence order. A non-zero seq is
-// reused verbatim — an export retried across a recovery must replay the
-// SAME sequence number, so a first attempt that was applied before its
-// acknowledgement was lost dedupes instead of failing with a duplicate
-// binding. The seq used is returned.
-func (fa *netFaults) ctlCall(p *netPeer, sj *streamJournal, seq uint64, verb string, args []any) (uint64, []any, error) {
-	type out struct {
-		res []any
-		err error
-	}
-	ch := make(chan out, 1)
-	sj.sendMu.Lock()
-	if seq == 0 {
-		fa.mu.Lock()
-		sj.nextSeq++
-		seq = sj.nextSeq
-		fa.mu.Unlock()
-	}
-	p.ctl.InvokeSeq(verb, seq, func(res []any, _ time.Duration, err error) {
-		ch <- out{res, err}
-	}, args...)
-	sj.sendMu.Unlock()
-	o := <-ch
-	return seq, o.res, o.err
-}
-
 // exportNew is the fault-mode creation protocol: the control call is
 // session-tracked and retried through recovery, so a node crash mid-export
 // — the driver placing objects while the chaos harness kills the node — is
-// survived like any other failure. The retry reuses its sequence number:
-// an export applied just before the connection died dedupes on replay.
-//
-// The no-connection retry loop runs on the policy's ReconnectPolicy budget
-// (attempts and exponential backoff, waited out on the middleware's clock),
-// not a schedule of its own: the operator who bounded how hard recovery
-// re-dials a dead peer has bounded how hard placement does, too.
+// survived like any other failure. When the requested node is gone for
+// creation purposes (see createAt) and the policy allows failover, the
+// object — built nowhere yet — is created on a survivor instead, found by
+// the same re-homing walk crash failover uses; the node it landed on is
+// returned. With no survivor to try, the requested node gets one more
+// budget of attempts: it may be mid restart.
 func (fa *netFaults) exportNew(node exec.NodeID, name string, ctlArgs []any) (*rmi.Stub, exec.NodeID, error) {
+	failover := !fa.policy.NoFailover
+	stub, lost, err := fa.createAt(node, name, ctlArgs, failover)
+	if !lost || !failover {
+		return stub, node, err
+	}
+	home, moved := node, false
+	fa.rehome(fa.generation(), home, true, func(target exec.NodeID, _ *netPeer) bool {
+		fa.failovers.Add(1)
+		node, moved = target, true
+		stub, lost, err = fa.createAt(target, name, ctlArgs, true)
+		return !lost
+	})
+	if !moved {
+		stub, _, err = fa.createAt(home, name, ctlArgs, false)
+	}
+	return stub, node, err
+}
+
+// createAt runs the creation protocol against node on the policy's
+// ReconnectPolicy budget (attempts and exponential backoff, waited out on
+// the middleware's clock): the operator who bounded how hard recovery
+// re-dials a dead peer has bounded how hard placement does, too. The retry
+// reuses its sequence number, so an export applied just before the
+// connection died dedupes on replay. lost reports that node is gone for
+// creation purposes: its peer's recovery failed, or — when mayLeave — it
+// refused three dials in a row (dead at startup, or partitioned before we
+// ever reached it: there is no journal to recover, and a transiently
+// rebinding node loses nothing if the object runs on a survivor).
+func (fa *netFaults) createAt(node exec.NodeID, name string, ctlArgs []any, mayLeave bool) (stub *rmi.Stub, lost bool, err error) {
 	pol := fa.policy.Reconnect.WithDefaults()
 	backoff := pol.BaseBackoff
 	var seq uint64
 	var seqEpoch int64
-	var lastErr error
 	dialFails := 0
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		p, err := fa.m.peer(node)
-		if err != nil {
+		p, derr := fa.m.peer(node)
+		if derr != nil {
 			// No established connection to recover: the node may be mid
 			// restart — back off on the policy's schedule, then retry the dial.
-			lastErr = err
-			if dialFails++; dialFails >= 3 && !fa.policy.NoFailover {
-				// The node has refused a session since before this object
-				// existed (dead at startup, or partitioned before we ever
-				// reached it) — there is no journal to recover, so retarget
-				// the creation to a member that does answer. A transiently
-				// rebinding node loses nothing: the object runs on the
-				// survivor either way.
-				if target, found := fa.pickTargetFor(node, nil); found {
-					fa.failovers.Add(1)
-					node = target
-					seq, seqEpoch = 0, 0
-					dialFails = 0
-					backoff = pol.BaseBackoff
-					continue
-				}
+			err = derr
+			if dialFails++; mayLeave && dialFails >= 3 {
+				return nil, true, err
 			}
 			fa.m.clk.Sleep(backoff)
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
+			backoff = min(2*backoff, pol.MaxBackoff)
 			continue
 		}
 		dialFails = 0
-		ctl := fa.journalOf(node, 0)
 		// Seq reuse is a same-incarnation contract: against a fresh epoch
 		// there is nothing to dedupe (the first attempt's application died
 		// with the node), and the recovery's own reincarnation calls have
@@ -1034,164 +1059,113 @@ func (fa *netFaults) exportNew(node exec.NodeID, name string, ctlArgs []any) (*r
 		if ep := p.client.Epoch(); ep != seqEpoch {
 			seq, seqEpoch = 0, ep
 		}
-		seq, _, err = fa.ctlCall(p, ctl, seq, rmi.CtlExportNew, ctlArgs)
+		seq, _, _, err = fa.roundTrip(p.ctl, fa.journalOf(node, 0), seq, rmi.CtlExportNew, ctlArgs)
 		if err == nil {
-			stub, lerr := p.client.Lookup(name)
-			if lerr == nil {
-				return stub, node, nil
+			if stub, err = p.client.Lookup(name); err == nil {
+				return stub, false, nil
 			}
-			err = lerr
 		}
 		if isExecuted(err) || errors.Is(err, rmi.ErrStaleSession) {
-			return nil, node, err // the node answered and refused: not a transport fault
+			return nil, false, err // the node answered and refused: not a transport fault
 		}
-		lastErr = err
 		if !fa.awaitRecovery(node) {
-			// The peer is gone for good. Creation-time placement failover:
-			// the object has not been built anywhere yet, so retarget the
-			// creation to a surviving node — the same move redirectJournal
-			// makes for established exports — unless the policy pins
-			// placement.
-			if fa.policy.NoFailover {
-				return nil, node, err
-			}
-			target, ok := fa.pickTargetNode(node)
-			if !ok {
-				return nil, node, err
-			}
-			fa.failovers.Add(1)
-			node = target
-			seq, seqEpoch = 0, 0 // fresh session on the target: nothing to dedupe
+			return nil, true, err
 		}
 	}
-	return nil, node, lastErr
+	return nil, false, err
 }
 
 // awaitRecovery kicks off (if needed) and waits out node's recovery,
 // reporting whether the peer came back healthy.
 func (fa *netFaults) awaitRecovery(node exec.NodeID) bool {
 	fa.mu.Lock()
+	defer fa.mu.Unlock()
 	pf := fa.peerLocked(node)
-	if pf.state == pfHealthy {
-		pf.state = pfRecovering
+	if fa.to(&pf.state, evFault) {
 		go fa.recover(pf, fa.gen)
 	}
-	for pf.state == pfRecovering {
+	for pf.state == stRecovering {
 		fa.cond.Wait()
 	}
-	healthy := pf.state == pfHealthy
-	fa.mu.Unlock()
-	return healthy
-}
-
-// markDead flags one export as unrecoverable: submissions against it fail
-// immediately.
-func (fa *netFaults) markDead(exp *netExport) {
-	fa.mu.Lock()
-	exp.dead = true
-	fa.cond.Broadcast()
-	fa.mu.Unlock()
+	return pf.state == stHealthy
 }
 
 // failPeer is the end of the reconnect budget: fail the journal over to a
 // surviving node, or — NoFailover, or no survivor — drop the peer.
 func (fa *netFaults) failPeer(pf *peerFault, gen int64) {
-	if fa.stale(gen) {
-		fa.abandon(pf)
-		return
-	}
+	var terminal error
 	if !fa.policy.NoFailover {
-		// One failed candidate must not doom the journal while another
-		// survivor exists: a target can itself be dying — a partitioned node
-		// still accepts dials, so the reachability probe passes and only the
-		// reincarnation's session traffic exposes it — so walk the candidates
-		// until one takes the objects or none are left.
-		tried := make(map[exec.NodeID]bool)
-		for {
-			target, ok := fa.pickTargetFor(pf.node, tried)
-			if !ok {
-				break
-			}
-			if fa.reincarnate(pf, gen, target) && fa.redirectJournal(pf, gen, target) {
-				fa.droppedPeers.Add(1) // the peer itself stays lost
-				return
-			}
-			if fa.stale(gen) {
-				fa.abandon(pf)
-				return
-			}
-			tried[target] = true
+		if fa.failover(pf, gen, true) {
+			fa.droppedPeers.Add(1) // the peer itself stays lost
+			return
 		}
 		// No survivor could take the lost objects: typed, Join-visible.
-		var terminal error
 		if exps := fa.exportsOn(pf.node); len(exps) > 0 {
 			terminal = &NoFailoverError{
 				Object: exps[0].name, Class: exps[0].class.Name(), Node: pf.node,
 				Err: errPeerLost,
 			}
 		}
-		fa.dropPeer(pf, gen, terminal)
-		return
 	}
-	fa.dropPeer(pf, gen, nil)
+	fa.dropPeer(pf, gen, terminal)
+}
+
+// failover moves everything pf holds — its objects, rebuilt by reincarnate,
+// then its journal, redirected by drainJournal — to the first target of the
+// re-homing walk that takes it all, leaving the peer dead. Under
+// RequeueOrphans the windowed entries go back to their callers instead.
+func (fa *netFaults) failover(pf *peerFault, gen int64, lastResort bool) bool {
+	var orphan error
+	if fa.policy.RequeueOrphans {
+		orphan = errPeerLost
+	}
+	return fa.rehome(gen, pf.node, lastResort, func(target exec.NodeID, tp *netPeer) bool {
+		return fa.reincarnate(pf, gen, tp, target) && fa.drainJournal(pf, gen, false, orphan, evLose)
+	})
 }
 
 // drainNode proactively migrates a LIVE node's exports to a survivor — the
 // cordon→drain step of the elastic pool, reusing the crash machinery
-// (reincarnate + redirectJournal) without waiting for the node to die. The
-// ordering hazard a live drain adds over a crash is calls already on the
-// wire: their effects would land on the source after the history snapshot
-// and be lost on the target. So the drain first takes the peer's recovering
-// state (submissions keep journaling but stop transmitting), then quiesces —
-// waits for every wired call's outcome, which either settles into the
-// history or leaves its entry journaled for the redirect — and only then
-// copies state over. Failure reverts to the ordinary recovery loop so the
-// queued entries still drain.
+// (failover) without waiting for the node to die. The ordering hazard a
+// live drain adds over a crash is calls already on the wire: their effects
+// would land on the source after the history snapshot and be lost on the
+// target. So the drain first claims the peer (evFault: submissions keep
+// journaling but stop transmitting), then quiesces — waits for every wired
+// call's outcome, which either settles into the history or leaves its entry
+// journaled for the redirect — and only then copies state over. Failure
+// hands the peer to the ordinary recovery loop so the queued entries still
+// drain.
 func (fa *netFaults) drainNode(node exec.NodeID) error {
 	fa.mu.Lock()
 	gen := fa.gen
 	pf := fa.peerLocked(node)
 	// A crash recovery may already own the peer; wait it out rather than
-	// racing it for the recovering state.
-	for pf.state == pfRecovering && gen == fa.gen && !fa.closed {
+	// racing it for the claim.
+	for pf.state == stRecovering && gen == fa.gen && !fa.closed {
 		fa.cond.Wait()
 	}
 	if gen != fa.gen || fa.closed {
 		fa.mu.Unlock()
 		return errMWReset
 	}
-	if pf.state == pfDead {
+	if !fa.to(&pf.state, evFault) {
 		fa.mu.Unlock()
 		return nil // already failed over or dropped: nothing left to move
 	}
-	pf.state = pfRecovering
 	for pf.wired > 0 && gen == fa.gen && !fa.closed {
 		fa.cond.Wait()
 	}
-	if gen != fa.gen || fa.closed {
-		fa.mu.Unlock()
-		fa.abandon(pf)
-		return errMWReset
-	}
 	fa.mu.Unlock()
-	target, ok := fa.pickTargetNode(node)
-	if !ok {
-		// Nowhere to move the exports: hand the peer back healthy via the
-		// recovery loop, which drains the entries queued while we held the
-		// recovering state.
-		go fa.recover(pf, gen)
-		return fmt.Errorf("par: netrmi drain of node %d: no eligible target", node)
-	}
-	if fa.reincarnate(pf, gen, target) && fa.redirectJournal(pf, gen, target) {
+	if fa.failover(pf, gen, false) {
 		fa.drains.Add(1)
 		return nil
 	}
 	if fa.stale(gen) {
-		fa.abandon(pf)
+		fa.dropPeer(pf, gen, nil)
 		return errMWReset
 	}
 	go fa.recover(pf, gen)
-	return fmt.Errorf("par: netrmi drain of node %d to node %d failed", node, target)
+	return fmt.Errorf("par: netrmi drain of node %d: no eligible target took its exports", node)
 }
 
 // lateFailover re-homes one live export stranded on a dead peer. The strand
@@ -1201,173 +1175,105 @@ func (fa *netFaults) drainNode(node exec.NodeID) error {
 // the peer dead, and left this object behind. Submissions detect the strand
 // (live export, dead peer) and finish the move here: re-create on a survivor,
 // replay history, remap — exactly reexport. Returns true when the export has
-// a new home (submit re-resolves and transmits there); false means the call
-// must be orphaned.
+// a new home (submit re-resolves and transmits there) or was refused one
+// (submit re-resolves and orphans against the dead export); false means the
+// call must be orphaned.
 func (fa *netFaults) lateFailover(exp *netExport, node exec.NodeID) bool {
 	if fa.policy.NoFailover {
 		return false
 	}
 	fa.mu.Lock()
-	for exp.moving && !fa.closed {
+	for exp.state == stRecovering && !fa.closed {
 		fa.cond.Wait() // another mover is re-homing it: ride its result
 	}
 	gen := fa.gen
-	if fa.closed || exp.dead {
-		fa.mu.Unlock()
-		return false
-	}
-	if exp.node != node {
-		fa.mu.Unlock()
-		return true // already re-homed (by the waited-out mover, or a sweep)
-	}
+	stuck := !fa.closed && exp.state == stHealthy && exp.node == node
+	moved := !fa.closed && exp.state == stHealthy && exp.node != node
 	fa.mu.Unlock()
-	ok := false
-	tried := make(map[exec.NodeID]bool)
-	for !ok {
-		target, found := fa.pickTargetFor(node, tried)
-		if !found {
-			break
-		}
-		if tp, err := fa.m.peer(target); err == nil {
-			// reexport true covers the refusal path too (export marked dead):
-			// the submit loop re-resolves and orphans against exp.dead.
-			ok = fa.reexport(exp, tp, target, gen)
-		}
-		tried[target] = true
+	if !stuck {
+		return moved // re-homed meanwhile (by the waited-out mover, or a sweep)
 	}
-	return ok
+	return fa.rehome(gen, node, true, func(target exec.NodeID, tp *netPeer) bool {
+		return fa.reexport(exp, tp, target, gen)
+	})
 }
 
-// pickTargetFor picks a failover target other than node, skipping candidates
-// in tried (nil: none). Uncordoned nodes are preferred, but when every
-// survivor is cordoned a live cordoned node is accepted as a last resort: a
-// cordon may be a health flap the pool lifts moments later, and moving the
-// objects twice (the cordoned target's own drain re-migrates them) is
-// strictly better than dropping them.
-func (fa *netFaults) pickTargetFor(node exec.NodeID, tried map[exec.NodeID]bool) (exec.NodeID, bool) {
-	if n, ok := fa.pickNode(node, false, tried); ok {
-		return n, true
-	}
-	return fa.pickNode(node, true, tried)
-}
-
-// pickTargetNode selects the lowest live, reachable, uncordoned node other
-// than dead — a cordoned node is being drained or evicted, so failing over
-// onto it would just move the objects twice. The drain path uses exactly
-// this (a drain with no clean target aborts harmlessly and retries later);
-// the crash path falls back through pickTargetFor with cordoned nodes
-// allowed.
-func (fa *netFaults) pickTargetNode(dead exec.NodeID) (exec.NodeID, bool) {
-	return fa.pickNode(dead, false, nil)
-}
-
-func (fa *netFaults) pickNode(dead exec.NodeID, allowCordoned bool, tried map[exec.NodeID]bool) (exec.NodeID, bool) {
-	ids := fa.m.nodeIDs()
-	for _, n := range ids {
-		if n == dead || tried[n] || (!allowCordoned && fa.m.Cordoned(n)) {
+// rehome is the one re-homing walk: it offers the work leaving from to each
+// candidate target in turn until try accepts one, and reports whether one
+// did. Candidates are the configured nodes other than from, in ascending ID,
+// skipping dead peers and nodes that do not answer a dial. Uncordoned nodes
+// come first. A cordoned node is offered only as a last resort, after every
+// uncordoned one, and only when lastResort is set: crash failover, late
+// failover and creation retargeting set it — a cordon may be a health flap
+// the pool lifts moments later, and moving the objects twice (the cordoned
+// target's own drain re-migrates them) is strictly better than dropping
+// them or failing the placement — while a drain does not, since draining
+// onto a node that is itself being drained only moves the objects twice,
+// and a drain with no clean target aborts harmlessly and retries later. The
+// walk stops early once gen is stale.
+func (fa *netFaults) rehome(gen int64, from exec.NodeID, lastResort bool, try func(target exec.NodeID, tp *netPeer) bool) bool {
+	var open, fenced []exec.NodeID
+	for _, n := range fa.m.nodeIDs() {
+		if n == from {
 			continue
 		}
+		if fa.m.Cordoned(n) {
+			fenced = append(fenced, n)
+		} else {
+			open = append(open, n)
+		}
+	}
+	if lastResort {
+		open = append(open, fenced...)
+	}
+	for _, n := range open {
+		if fa.stale(gen) {
+			return false
+		}
 		fa.mu.Lock()
-		dead := fa.peerLocked(n).state == pfDead
+		dead := fa.peerLocked(n).state == stDead
 		fa.mu.Unlock()
 		if dead {
 			continue
 		}
-		if _, err := fa.m.peer(n); err != nil {
-			continue
-		}
-		return n, true
-	}
-	return 0, false
-}
-
-// redirectJournal replays the lost peer's journals against the failover
-// target (the objects were just rebuilt there) — streams ascending, each in
-// submission order, every call keeping its stream on the target; windowed
-// entries requeue instead when the policy says so. On success the peer is
-// left dead with empty journals — no survivor work remains.
-func (fa *netFaults) redirectJournal(pf *peerFault, gen int64, target exec.NodeID) bool {
-	for {
-		fa.mu.Lock()
-		if gen != fa.gen || fa.closed {
-			fa.mu.Unlock()
-			return false
-		}
-		var sj *streamJournal
-		found := false
-		var stream uint32
-		for id, j := range pf.journals {
-			if len(j.order) > 0 && (!found || id < stream) {
-				sj, stream, found = j, id, true
-			}
-		}
-		if !found {
-			pf.state = pfDead
-			fa.cond.Broadcast()
-			fa.mu.Unlock()
+		if tp, err := fa.m.peer(n); err == nil && try(n, tp) {
 			return true
 		}
-		seq := sj.order[0]
-		call := sj.inflight[seq]
-		fa.mu.Unlock()
-		if fa.policy.RequeueOrphans && call.windowed && call.deliver != nil {
-			fa.mu.Lock()
-			live := sj.inflight[seq] == call
-			if live {
-				dropLocked(sj, seq)
-			}
-			fa.cond.Broadcast()
-			fa.mu.Unlock()
-			if live {
-				fa.deliverOrphan(call, pf.node, errPeerLost)
-			}
-			continue
-		}
-		res, svc, err := fa.replayOnce(call, 0, fa.journalOf(target, call.stream))
-		if err != nil && !isExecuted(err) && !errors.Is(err, rmi.ErrStaleSession) {
-			return false // the target is dying too; give up on this path
-		}
-		fa.replays.Add(1)
-		fa.settle(pf, call, res, svc, err)
 	}
+	return false
 }
 
-// dropPeer gives up on a peer: its journal is failed (retryable for
-// windowed packs under RequeueOrphans — the scheduler re-absorbs them), its
-// exports are dead, and the terminal error, if any, waits for Join.
+// --- Ending a journal --------------------------------------------------------
+
+// dropPeer ends a recovery that cannot heal or fail over pf: the peer is
+// lost (DroppedPeers) in the live generation, or abandoned (Abandoned) once
+// Reset/Close ended it — nothing is replayed, since resurrecting pre-reset
+// exports is exactly the bug the generation guard exists for.
 func (fa *netFaults) dropPeer(pf *peerFault, gen int64, terminal error) {
 	fa.mu.Lock()
-	if gen != fa.gen || fa.closed {
-		fa.mu.Unlock()
-		fa.abandon(pf)
-		return
+	live := gen == fa.gen && !fa.closed
+	if live {
+		fa.droppedPeers.Add(1)
+	} else {
+		fa.abandoned.Add(1)
 	}
-	pf.state = pfDead
-	calls := fa.drainLocked(pf)
-	for _, exp := range fa.exports {
-		if exp.node == pf.node {
-			exp.dead = true
-		}
-	}
-	if terminal != nil {
-		fa.errs = append(fa.errs, terminal)
-	}
-	fa.droppedPeers.Add(1)
-	fa.cond.Broadcast()
+	deliver := fa.endLocked(pf, live, terminal)
 	fa.mu.Unlock()
-	cause := terminal
-	if cause == nil {
-		cause = errPeerLost
-	}
-	for _, call := range calls {
-		fa.deliverOrphan(call, pf.node, cause)
-	}
+	deliver()
 }
 
-// drainLocked empties every stream journal on pf, returning the calls —
-// streams ascending, submission order within each — so failure delivery is
-// deterministic. fa.mu held.
-func (fa *netFaults) drainLocked(pf *peerFault) []*netCall {
+// endLocked is the one way a journal ends without replay: pf goes dead and
+// its entries leave the journal — streams ascending, submission order
+// within each, so failure delivery is deterministic. A live peer was lost:
+// its exports die with it, the terminal error (if any) waits for Join, and
+// each entry is orphaned with it as cause (retryable for windowed packs
+// under RequeueOrphans, so the scheduler re-absorbs them). Otherwise the
+// generation that issued the entries has ended: each caller gets a terminal
+// FaultError naming the reset or the close, and nothing reaches Join. It
+// returns the delivery, which the caller runs once fa.mu is released.
+// fa.mu held.
+func (fa *netFaults) endLocked(pf *peerFault, live bool, terminal error) (deliver func()) {
+	fa.to(&pf.state, evLose)
 	streams := make([]uint32, 0, len(pf.journals))
 	for id := range pf.journals {
 		streams = append(streams, id)
@@ -1384,23 +1290,29 @@ func (fa *netFaults) drainLocked(pf *peerFault) []*netCall {
 		sj.inflight = make(map[uint64]*netCall)
 		sj.order = nil
 	}
-	return calls
-}
-
-// abandon drains a peer whose generation ended (Reset/Close raced the
-// recovery): entries are failed with the reset marker and nothing is
-// replayed — resurrecting pre-reset exports is exactly the bug the guard
-// exists for.
-func (fa *netFaults) abandon(pf *peerFault) {
-	fa.abandoned.Add(1)
-	fa.mu.Lock()
-	pf.state = pfDead
-	calls := fa.drainLocked(pf)
-	fa.cond.Broadcast()
-	fa.mu.Unlock()
-	for _, call := range calls {
-		if call.deliver != nil {
-			call.deliver(nil, 0, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: errMWReset})
+	cause := errMWReset
+	switch {
+	case live:
+		for _, exp := range fa.exports {
+			if exp.node == pf.node {
+				fa.to(&exp.state, evLose)
+			}
+		}
+		cause = errPeerLost
+		if terminal != nil {
+			fa.errs = append(fa.errs, terminal)
+			cause = terminal
+		}
+	case fa.closed:
+		cause = rmi.ErrClosed
+	}
+	return func() {
+		for _, call := range calls {
+			if live {
+				fa.deliverOrphan(call, pf.node, cause)
+			} else if call.deliver != nil {
+				call.deliver(nil, 0, faultErr(call, pf.node, cause))
+			}
 		}
 	}
 }
@@ -1408,28 +1320,24 @@ func (fa *netFaults) abandon(pf *peerFault) {
 // --- Lifecycle ---------------------------------------------------------------
 
 // invalidate ends the current generation: active recoveries abandon at
-// their next step, journals drain with cause, and the export records are
-// forgotten. Reset and Close both route through here.
-func (fa *netFaults) invalidate(cause error) {
+// their next step, every journal ends (endLocked) atomically with the
+// generation bump, and the export records are forgotten. Reset and Close
+// (closing) both route through here.
+func (fa *netFaults) invalidate(closing bool) {
 	fa.mu.Lock()
 	fa.gen++
-	if errors.Is(cause, rmi.ErrClosed) {
-		fa.closed = true
-	}
+	fa.closed = fa.closed || closing
 	peers := fa.peers
 	fa.peers = make(map[exec.NodeID]*peerFault)
 	fa.exports = make(map[*NetRef]*netExport)
-	var calls []*netCall
+	ends := make([]func(), 0, len(peers))
 	for _, pf := range peers {
-		calls = append(calls, fa.drainLocked(pf)...)
-		pf.state = pfDead
+		ends = append(ends, fa.endLocked(pf, false, nil))
 	}
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
-	for _, call := range calls {
-		if call.deliver != nil {
-			call.deliver(nil, 0, cause)
-		}
+	for _, deliver := range ends {
+		deliver()
 	}
 }
 
@@ -1448,7 +1356,7 @@ func (fa *netFaults) join() error {
 
 func (fa *netFaults) busyLocked() bool {
 	for _, pf := range fa.peers {
-		if pf.state == pfRecovering {
+		if pf.state == stRecovering {
 			return true
 		}
 		for _, sj := range pf.journals {

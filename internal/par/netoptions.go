@@ -8,12 +8,11 @@ import (
 	"aspectpar/internal/rmi"
 )
 
-// Functional construction options for the real-TCP middleware. DialNet
-// replaces the order-sensitive setter dance (NewNetRMI, then SetClock before
-// SetFaultPolicy before the first dial) with a single constructor: every
-// knob is fixed before any connection exists, so the ordering invariant the
-// setters documented simply cannot be violated. The setters survive as
-// deprecated shims for existing callers.
+// Functional construction options for the real-TCP middleware. DialNet is
+// the single constructor that configures it: every knob is fixed before any
+// connection exists, so no dial can observe a half-configured middleware
+// (a clock swapped under live sessions, a fault policy enabled after
+// untracked ones were established).
 
 // NetOption configures a NetRMI at DialNet.
 type NetOption func(*netOptions)

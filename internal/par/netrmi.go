@@ -61,7 +61,7 @@ type NetRMI struct {
 
 	// clk is the middleware's time source: RTT stamps, reconnect backoffs
 	// and export-retry graces ride it. clock.Real() by default (see
-	// SetClock); fixed before the first dial, so dispatch paths read it
+	// WithNetClock); fixed before the first dial, so dispatch paths read it
 	// without locking.
 	clk clock.Clock
 
@@ -115,24 +115,6 @@ func NewNetRMI(addrs map[exec.NodeID]string) *NetRMI {
 		cordoned: make(map[exec.NodeID]bool),
 		clk:      clock.Real(),
 	}
-}
-
-// SetClock installs the middleware's time source (nil selects the wall
-// clock): every reconnect backoff, export-retry grace and RTT stamp flows
-// through it, which is what lets the chaos harness run failure schedules on
-// virtual time. Like SetFaultPolicy, it must be called before the first
-// placement or call; installing a clock under sessions established on
-// another one panics.
-//
-// Deprecated: pass WithNetClock to DialNet instead — the constructor fixes
-// every knob before the first dial, so the ordering rule disappears.
-func (m *NetRMI) SetClock(clk clock.Clock) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.peers) > 0 {
-		panic("par: SetClock after peers were dialled")
-	}
-	m.clk = clock.Or(clk)
 }
 
 // NetAddressTable builds a node address table from an ordered address list:
@@ -243,25 +225,6 @@ func (m *NetRMI) nodeIDs() []exec.NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// SetFaultPolicy switches on the fault-tolerance subsystem (see FaultPolicy
-// and netfault.go): journaled calls, reconnect/replay with session-epoch
-// handshakes, and placement failover. It must be called before the first
-// placement or call; enabling it on a middleware that has already dialled
-// peers panics, because those sessions were established untracked.
-//
-// Deprecated: pass WithFaultPolicy to DialNet instead.
-func (m *NetRMI) SetFaultPolicy(p FaultPolicy) {
-	if !p.Enabled {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.peers) > 0 {
-		panic("par: SetFaultPolicy after peers were dialled")
-	}
-	m.faults = newNetFaults(m, p)
 }
 
 // FaultStats reports what the fault-tolerance subsystem did (zero unless a
@@ -580,7 +543,7 @@ func (m *NetRMI) LocalityCosted() bool { return true }
 func (m *NetRMI) Reset() error {
 	fa := m.faults
 	if fa != nil {
-		fa.invalidate(&FaultError{Err: errMWReset})
+		fa.invalidate(false)
 	}
 	m.mu.Lock()
 	prefix := m.prefix
@@ -691,7 +654,7 @@ func (m *NetRMI) Close() error {
 	}
 	m.mu.Unlock()
 	if fa := m.faults; fa != nil {
-		fa.invalidate(rmi.ErrClosed)
+		fa.invalidate(true)
 	}
 	var errs []error
 	for _, p := range peers {

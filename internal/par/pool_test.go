@@ -285,6 +285,10 @@ func TestPoolTableChurnRace(t *testing.T) {
 			_ = r.mw.Nodes()
 			_ = r.mw.Cordoned(0)
 			_, _ = r.mw.NodeOf(obj)
+			// Park briefly: on one processor a spinning reader (even one
+			// that yields) keeps the run queue busy, so the traffic's
+			// network completions wait for the background poller.
+			time.Sleep(10 * time.Microsecond)
 		}
 	}()
 

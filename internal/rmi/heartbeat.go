@@ -28,7 +28,13 @@ type heartbeatConfig struct {
 }
 
 // startHeartbeat launches the registration/heartbeat loop once the server
-// knows its bound address. No-op without a registry configured.
+// knows its bound address, and returns once the first RegRegister has been
+// answered (or failed), so a server whose Listen returned is already a
+// member a pool refresh can see. The wait is bounded by the default
+// registry dial timeout (ReconnectPolicy.DialTimeout's default), so a
+// registry that accepts but never answers cannot hang Listen; it runs on
+// the wall clock for the same reason, since a virtual clock may never be
+// advanced. No-op without a registry configured.
 func (s *Server) startHeartbeat(bound string) {
 	if s.hb.registry == "" {
 		return
@@ -50,7 +56,14 @@ func (s *Server) startHeartbeat(bound string) {
 	s.hbDone = make(chan struct{})
 	stop, done := s.hbStop, s.hbDone
 	s.mu.Unlock()
-	go s.heartbeatLoop(addr, interval, stop, done)
+	registered := make(chan struct{})
+	go s.heartbeatLoop(addr, interval, stop, done, registered)
+	limit := time.NewTimer(ReconnectPolicy{}.WithDefaults().DialTimeout)
+	defer limit.Stop()
+	select {
+	case <-registered:
+	case <-limit.C:
+	}
 }
 
 // stopHeartbeat ends the loop; graceful shutdowns deregister first. It
@@ -76,7 +89,7 @@ func (s *Server) stopHeartbeat(graceful bool) {
 // graceful stop. Registry trouble is absorbed: the connection is re-dialled
 // on the next beat, and RegHeartbeat upserts, so a restarted registry
 // relearns the membership from the surviving nodes' beats.
-func (s *Server) heartbeatLoop(addr string, interval time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+func (s *Server) heartbeatLoop(addr string, interval time.Duration, stop <-chan struct{}, done, registered chan<- struct{}) {
 	defer close(done)
 	var cli *Client
 	var reg *Stub
@@ -117,6 +130,7 @@ func (s *Server) heartbeatLoop(addr string, interval time.Duration, stop <-chan 
 		}
 	}
 	beat(RegRegister)
+	close(registered)
 	for {
 		select {
 		case <-stop:

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aspectpar/internal/clock"
 	"aspectpar/internal/exec"
 )
 
@@ -124,7 +123,9 @@ func (n *Node) Classes() []string {
 }
 
 // Listen starts serving on addr ("127.0.0.1:0" picks a free port) and
-// returns the bound address.
+// returns the bound address. A node built WithRegistry returns only once
+// its first registration was answered (bounded; see Server.Listen), so a
+// pool that refreshes after Listen sees it.
 func (n *Node) Listen(addr string) (string, error) {
 	return n.srv.Listen(addr)
 }
@@ -161,13 +162,6 @@ func (n *Node) Requests() int64 { return n.srv.Requests() }
 // req requests — the event-driven form of the kill trigger (see
 // Server.WatchRequests).
 func (n *Node) WatchRequests(req int64) <-chan struct{} { return n.srv.WatchRequests(req) }
-
-// SetClock installs the node's time source; call before Listen (see
-// Server.SetClock).
-//
-// Deprecated: pass WithClock to NewNode instead, which fixes the clock
-// before any listener can observe it.
-func (n *Node) SetClock(clk clock.Clock) { n.srv.SetClock(clk) }
 
 // SetPartitioned severs or heals the node's network (see
 // Server.SetPartitioned).

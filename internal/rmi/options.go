@@ -7,12 +7,10 @@ import (
 	"aspectpar/internal/clock"
 )
 
-// Functional construction options for clients and servers. They replace the
-// order-sensitive setter chains ("SetClock before Listen", "SetSession
-// before the first tracked request", "SetSendWindow after Dial"): every knob
-// is fixed at construction, so there is no window in which a half-configured
-// client or server is observable. The old setters remain as deprecated
-// shims.
+// Functional construction options for clients and servers: every knob is
+// fixed at construction, so there is no window in which a half-configured
+// client or server is observable. SetSendWindow is the one runtime setter
+// left (the autotuner resizes live windows through it).
 
 // Option configures a Client (at Dial) or a Server (at NewServer/Serve).
 // Options that only make sense on one side are ignored by the other.
@@ -56,8 +54,9 @@ func WithReconnect(p ReconnectPolicy) Option {
 	return func(o *options) { o.policy = &p }
 }
 
-// WithSession tags a client's tracked requests with a stable identity (see
-// SetSession).
+// WithSession tags a client's tracked requests (InvokeSeq, SendSeq) with a
+// stable identity, arming the server's dedupe and stale-replay guards. The
+// identity survives Reconnect, which is the point.
 func WithSession(id string) Option {
 	return func(o *options) { o.session = id }
 }

@@ -143,8 +143,9 @@ type Server struct {
 	sessions map[sessionKey]*clientSession
 
 	// clk is the server's time source: service-time stamps, the drain grace
-	// and injected dispatch delays all flow through it. Fixed before Listen
-	// (see SetClock), so the serving goroutines read it without locking.
+	// and injected dispatch delays all flow through it. Fixed at
+	// construction (WithClock), so the serving goroutines read it without
+	// locking.
 	clk clock.Clock
 
 	// codecs is the set of frame codecs this server accepts in handshake
@@ -192,18 +193,6 @@ func NewServer(opts ...Option) *Server {
 	return s
 }
 
-// SetClock installs the server's time source; nil selects the wall clock.
-// Must be called before Listen — the serving goroutines capture it without
-// locking. The session epoch is re-minted on the new clock (no client can
-// have handshaken the old one yet).
-//
-// Deprecated: pass WithClock to NewServer (or Serve) instead; the setter
-// survives only so pre-options callers keep compiling.
-func (s *Server) SetClock(clk clock.Clock) {
-	s.clk = clock.Or(clk)
-	s.epoch.Store(newEpoch(s.clk))
-}
-
 // Export binds an object under a name (the registry's bind operation).
 // Rebinding a name replaces the previous object, like Java's Naming.rebind.
 func (s *Server) Export(name string, dispatch DispatchFunc) {
@@ -233,7 +222,9 @@ func (s *Server) Names() []string {
 }
 
 // Listen starts serving on addr ("127.0.0.1:0" picks a free port) and
-// returns the bound address.
+// returns the bound address. With WithRegistry it first waits for the
+// initial registration to be answered, bounded by the default registry dial
+// timeout, so a server is a visible member once Listen returns.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -755,16 +746,6 @@ func (c *Client) negotiate() error {
 	}
 	c.epoch.Store(resp.Epoch)
 	return nil
-}
-
-// SetClock installs the time source Reconnect's backoff waits on; nil selects
-// the wall clock.
-//
-// Deprecated: pass WithClock to Dial instead.
-func (c *Client) SetClock(clk clock.Clock) {
-	c.mu.Lock()
-	c.clk = clock.Or(clk)
-	c.mu.Unlock()
 }
 
 // SetSendWindow sets the flow-control window: the maximum number of one-way

@@ -34,15 +34,16 @@ func startCounter(t *testing.T) (*Server, string, *atomic.Int64) {
 	return s, addr, &total
 }
 
-func dialSession(t *testing.T, addr, id string) *Client {
+// dialSession dials a session-tracked client; opts are applied after the
+// defaults (session id, a fast 10-attempt reconnect schedule), so they win.
+func dialSession(t *testing.T, addr, id string, opts ...Option) *Client {
 	t.Helper()
-	c, err := Dial(addr)
+	c, err := Dial(addr, append([]Option{WithSession(id),
+		WithReconnect(ReconnectPolicy{MaxAttempts: 10, BaseBackoff: 2 * time.Millisecond})}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	c.SetSession(id)
-	c.SetReconnectPolicy(ReconnectPolicy{MaxAttempts: 10, BaseBackoff: 2 * time.Millisecond})
 	if _, err := c.Handshake(); err != nil {
 		t.Fatal(err)
 	}

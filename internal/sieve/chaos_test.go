@@ -65,10 +65,7 @@ func startChaosNodesClock(t *testing.T, count int, clk clock.Clock) *chaosNodes 
 	t.Helper()
 	c := &chaosNodes{t: t, clk: clk}
 	for i := 0; i < count; i++ {
-		node := rmi.NewNode(exec.Real())
-		if clk != nil {
-			node.SetClock(clk)
-		}
+		node := rmi.NewNode(exec.Real(), rmi.WithClock(clk))
 		par.HostClass(node, DefineClass(par.NewDomain()))
 		addr, err := node.Listen("127.0.0.1:0")
 		if err != nil {
@@ -101,10 +98,7 @@ func (c *chaosNodes) crashRestart(i int) error {
 	old := c.nodes[i]
 	c.mu.Unlock()
 	old.Abort()
-	node := rmi.NewNode(exec.Real())
-	if c.clk != nil {
-		node.SetClock(c.clk)
-	}
+	node := rmi.NewNode(exec.Real(), rmi.WithClock(c.clk))
 	par.HostClass(node, DefineClass(par.NewDomain()))
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
