@@ -302,6 +302,7 @@ func TestChaosNetMandel(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	killed := make(chan struct{})
+	var watermark int64 // requests the victim had served when it died
 	go func() {
 		for {
 			select {
@@ -316,6 +317,7 @@ func TestChaosNetMandel(t *testing.T) {
 				continue
 			}
 			victim.Abort()
+			watermark = victim.Requests()
 			fresh := rmi.NewNode(exec.Real())
 			par.HostClass(fresh, DefineClass(par.NewDomain()))
 			for attempt := 0; attempt < 50; attempt++ {
@@ -357,10 +359,22 @@ func TestChaosNetMandel(t *testing.T) {
 			}
 		}
 	}
+	// Mid-render means the render sent the victim something after the kill:
+	// the fresh incarnation counts from zero, so its served requests are
+	// exactly that traffic. A kill whose watermark was already the victim's
+	// last request leaves nothing to recover from.
 	select {
 	case <-killed:
+		mu.Lock()
+		after := nodes[1].Requests()
+		mu.Unlock()
+		if after == 0 {
+			t.Logf("kill at watermark %d landed after the victim's last request; fault path not exercised", watermark)
+			break
+		}
 		if st := mw.FaultStats(); st.Reconnects == 0 && st.DroppedPeers == 0 {
-			t.Errorf("node was killed mid-render but FaultStats is empty: %+v", st)
+			t.Errorf("node was killed mid-render (watermark %d, %d requests after) but FaultStats is empty: %+v",
+				watermark, after, st)
 		}
 	default:
 		t.Log("kill fired after the render finished; fault path not exercised this run")

@@ -161,3 +161,21 @@ func TestFormatTableSyntheticSeries(t *testing.T) {
 		t.Errorf("chart:\n%s", chart)
 	}
 }
+
+// TestStreamThroughputCountsMeasuredHops pins the streaming cell's hop
+// counter to the measured window: the 3-stage chain has two inner stage
+// boundaries, so exactly two node-side hops per measured frame — the
+// warm-up's hops are not included.
+func TestStreamThroughputCountsMeasuredHops(t *testing.T) {
+	const frames = 120
+	pt, err := StreamThroughput(frames, 64, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(2 * frames); pt.PeerForwards != want {
+		t.Errorf("PeerForwards = %d for %d frames, want exactly %d", pt.PeerForwards, frames, want)
+	}
+	if pt.FramesPerSec <= 0 {
+		t.Errorf("FramesPerSec = %v", pt.FramesPerSec)
+	}
+}

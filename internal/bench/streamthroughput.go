@@ -5,6 +5,9 @@ import (
 	"time"
 
 	"aspectpar/internal/apps/imagepipe"
+	"aspectpar/internal/exec"
+	"aspectpar/internal/par"
+	"aspectpar/internal/rmi"
 )
 
 // StreamPoint is one measured cell of the resident-service sweep: an
@@ -20,7 +23,73 @@ type StreamPoint struct {
 	Elapsed      time.Duration
 	FramesPerSec float64
 	MBPerSec     float64 // input payload moved per second
-	PeerForwards int64   // node-side hops (sanity: ≈ frames × inner boundaries)
+	PeerForwards int64   // node-side hops in the measured window (frames × inner boundaries)
+}
+
+// streamDeployment is the cell's two loopback daemons plus a control stub
+// on each, through which the bench reads the daemons' own hop counters.
+type streamDeployment struct {
+	nodes []*rmi.Node
+	addrs []string
+	ctls  []*rmi.Stub
+}
+
+func startStreamNodes(count int) (*streamDeployment, error) {
+	d := &streamDeployment{}
+	for i := 0; i < count; i++ {
+		node := rmi.NewNode(exec.Real())
+		d.nodes = append(d.nodes, node)
+		par.HostClass(node, imagepipe.DefineClass(par.NewDomain()))
+		addr, err := node.Listen("127.0.0.1:0")
+		if err != nil {
+			d.close()
+			return nil, fmt.Errorf("bench: stream node %d: %w", i, err)
+		}
+		client, err := rmi.Dial(addr)
+		if err != nil {
+			d.close()
+			return nil, fmt.Errorf("bench: stream node %d control: %w", i, err)
+		}
+		ctl, err := client.Lookup(rmi.ControlName)
+		if err != nil {
+			client.Close()
+			d.close()
+			return nil, fmt.Errorf("bench: stream node %d control: %w", i, err)
+		}
+		d.ctls = append(d.ctls, ctl)
+		d.addrs = append(d.addrs, addr)
+	}
+	return d, nil
+}
+
+// hops sums the forward hops the daemons delivered (initiated minus
+// stranded, par.TopologyStats.PeerForwards' definition). Unlike the
+// service's own counter, which reflects its last completion poll, this is
+// exact once Flush returned: every hop was initiated before its frame
+// reached the terminal ledger.
+func (d *streamDeployment) hops() (int64, error) {
+	var total int64
+	for i, ctl := range d.ctls {
+		res, err := ctl.Invoke(rmi.CtlPipePoll, "", false)
+		if err != nil {
+			return 0, fmt.Errorf("bench: pipe poll node %d: %w", i, err)
+		}
+		st, ok := res[0].(rmi.PipeStatus)
+		if !ok {
+			return 0, fmt.Errorf("bench: pipe poll node %d returned %T", i, res[0])
+		}
+		total += st.Initiated - st.StrandedCum
+	}
+	return total, nil
+}
+
+func (d *streamDeployment) close() {
+	for _, ctl := range d.ctls {
+		ctl.Client().Close()
+	}
+	for _, n := range d.nodes {
+		n.Close()
+	}
 }
 
 // StreamThroughput measures the resident streaming service: frames
@@ -62,26 +131,40 @@ func StreamThroughput(frames, frameLen, window, runs int) (StreamPoint, error) {
 		runs = 1
 	}
 	best := time.Duration(0)
-	for r := 0; r < runs; r++ {
-		s, err := imagepipe.StartService(imagepipe.ServiceConfig{Nodes: 2, Window: window})
+	run := func() (time.Duration, int64, error) {
+		d, err := startStreamNodes(2)
 		if err != nil {
-			return pt, fmt.Errorf("bench: stream service: %w", err)
+			return 0, 0, err
 		}
+		defer d.close()
+		s, err := imagepipe.StartService(imagepipe.ServiceConfig{Addrs: d.addrs, Window: window})
+		if err != nil {
+			return 0, 0, fmt.Errorf("bench: stream service: %w", err)
+		}
+		defer s.Close()
 		if err := drive(s, frames/10+1); err != nil { // warm lanes and caches
-			s.Close()
-			return pt, err
+			return 0, 0, err
+		}
+		before, err := d.hops()
+		if err != nil {
+			return 0, 0, err
 		}
 		start := time.Now()
-		err = drive(s, frames)
+		if err := drive(s, frames); err != nil {
+			return 0, 0, err
+		}
 		elapsed := time.Since(start)
-		stats := s.Stats()
-		s.Close()
+		after, err := d.hops()
+		return elapsed, after - before, err
+	}
+	for r := 0; r < runs; r++ {
+		elapsed, hops, err := run()
 		if err != nil {
 			return pt, err
 		}
 		if best == 0 || elapsed < best {
 			best = elapsed
-			pt.PeerForwards = stats.Topo.PeerForwards
+			pt.PeerForwards = hops
 		}
 	}
 	pt.Elapsed = best

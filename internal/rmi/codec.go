@@ -59,9 +59,9 @@ const (
 func GobCodec() Codec { return gobCodec{} }
 
 // BinaryCodec returns the compact binary frame codec: length-prefixed
-// frames, varint-packed fields and type-tagged values with fast paths for
-// the Class.Wire payload types ([]int32, []int64, []float64, []byte),
-// falling back to an embedded gob blob for exotic registered types. It
+// frames, varint-packed fields and type-tagged values, with dedicated tags
+// for the built-in payload types ([]int32, []int64, []float64, []byte) and
+// an encoder derived at RegisterType for every other registered type. It
 // avoids gob's per-connection type re-negotiation and per-message reflection
 // on the hot path.
 func BinaryCodec() Codec { return binCodec{} }

@@ -42,8 +42,8 @@ func roundTripResponse(t *testing.T, c Codec, in *response) *response {
 	return &out
 }
 
-// wireValueCases covers every dedicated binary tag plus the gob fallback
-// (time.Duration is registered via RegisterType in this test).
+// wireValueCases covers every dedicated binary tag plus a derived vTyped
+// value (time.Duration is registered via RegisterType in this test).
 func wireValueCases() []any {
 	return []any{
 		nil,
@@ -64,7 +64,7 @@ func wireValueCases() []any {
 		[]int64{-1 << 40, 9},
 		[]float64{1.5, -2.25},
 		[]any{int32(1), "nested", []int32{2, 3}},
-		time.Duration(42), // exotic: rides the vGob fallback
+		time.Duration(42), // registered: rides vTyped
 	}
 }
 

@@ -1,7 +1,6 @@
 package rmi
 
 import (
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"sync"
@@ -57,7 +56,8 @@ type Servant interface {
 	Invoke(ctx exec.Context, obj any, method string, args []any) ([]any, error)
 	// WireTypes returns sample values of every concrete type the class
 	// carries across the wire inside argument or result lists; the node
-	// registers them with gob so both ends agree on the encoding.
+	// registers them (RegisterType) so both ends agree on the encoding
+	// under either codec.
 	WireTypes() []any
 }
 
@@ -80,7 +80,7 @@ type Node struct {
 
 func init() {
 	// Constructor argument lists travel inside the control request's []any.
-	gob.Register([]any(nil))
+	RegisterType([]any(nil))
 }
 
 // NewNode returns a node whose servants run on ctx (typically exec.Real()),
@@ -100,8 +100,8 @@ func NewNode(ctx exec.Context, opts ...Option) *Node {
 }
 
 // Host registers a class server under its name and registers the class's
-// wire types with gob. Hosting the same class name twice replaces the
-// servant (a daemon reloading its application universe).
+// wire types (RegisterType) for both codecs. Hosting the same class name
+// twice replaces the servant (a daemon reloading its application universe).
 func (n *Node) Host(class string, s Servant) {
 	for _, sample := range s.WireTypes() {
 		RegisterType(sample)

@@ -22,7 +22,6 @@ package rmi
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -60,15 +59,11 @@ const DefaultSendWindow = 32
 
 func init() {
 	// Wire types that cross the connection inside []any.
-	gob.Register([]int32(nil))
-	gob.Register([]int64(nil))
-	gob.Register([]float64(nil))
-	gob.Register([]byte(nil))
+	RegisterType([]int32(nil))
+	RegisterType([]int64(nil))
+	RegisterType([]float64(nil))
+	RegisterType([]byte(nil))
 }
-
-// RegisterType makes a concrete argument/result type encodable across RMI
-// (gob requires concrete types carried in interfaces to be registered).
-func RegisterType(v any) { gob.Register(v) }
 
 // request/response are the wire protocol. Every request — including one-way
 // sends — is answered by exactly one response on the same connection, in
@@ -152,6 +147,10 @@ type Server struct {
 	// negotiation, immutable after construction (WithCodecs restricts it).
 	// Gob is implicit: every connection starts there.
 	codecs map[string]Codec
+	// peerCodec is the first accepted codec other than gob (nil if none):
+	// what the node's own peer-to-peer forward connections offer, so a
+	// gob-only node keeps its hops on gob too.
+	peerCodec Codec
 
 	// Fault-injection state (see inject.go).
 	partitioned   atomic.Bool
@@ -187,6 +186,9 @@ func NewServer(opts ...Option) *Server {
 	for _, c := range accepted {
 		if c != nil {
 			s.codecs[c.Name()] = c
+			if s.peerCodec == nil && c.Name() != gobName {
+				s.peerCodec = c
+			}
 		}
 	}
 	s.epoch.Store(newEpoch(s.clk))

@@ -1,7 +1,6 @@
 package rmi
 
 import (
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"sync"
@@ -99,9 +98,9 @@ func (s PipeStatus) Inflight() int64 { return s.Initiated - s.Acked - s.Stranded
 
 func init() {
 	// Topology installs and poll replies travel inside control requests.
-	gob.Register([]string(nil))
-	gob.Register(PipeStatus{})
-	gob.Register(Stranded{})
+	RegisterType([]string(nil))
+	RegisterType(PipeStatus{})
+	RegisterType(Stranded{})
 }
 
 // pipeHop is one locally hosted stage's routing entry.
@@ -355,7 +354,8 @@ func isRemote(err error) bool {
 }
 
 // stubFor resolves (dialling and caching as needed) the stub of a successor
-// object at addr.
+// object at addr. The dial offers the node's own preferred codec; the
+// handshake still falls back to gob when the successor does not speak it.
 func (r *pipeRouter) stubFor(name, addr string) (*Stub, error) {
 	r.mu.Lock()
 	p := r.peers[addr]
@@ -367,7 +367,7 @@ func (r *pipeRouter) stubFor(name, addr string) (*Stub, error) {
 	}
 	r.mu.Unlock()
 	if p == nil {
-		client, err := Dial(addr, WithClock(r.n.srv.clk))
+		client, err := Dial(addr, WithClock(r.n.srv.clk), WithCodec(r.n.srv.peerCodec))
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,7 @@ package rmi
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -19,14 +17,20 @@ import (
 // flags uvarint that says which fields follow — absent fields cost zero
 // bytes, so the windowed one-way hot path (object, method, one []int32 pack)
 // is a few dozen bytes where gob spends hundreds and re-describes types per
-// connection. Values are type-tagged: the Class.Wire payload types get
-// dedicated tags with fixed-width little-endian element encoding, everything
-// else rides an embedded gob blob (vGob), so any type RegisterType can make
-// gob-encodable still crosses the binary codec.
+// connection. Values are type-tagged: the built-in payload types ([]int32,
+// []int64, []float64, []byte, scalars, []any) get dedicated tags, and every
+// other type registered through RegisterType — named slices such as
+// imagepipe.Frame, structs, maps, []string, ... — rides vTyped: the tag,
+// the type's gob.Register name, then the value in its underlying layout,
+// encoded and decoded by a coder derived once per type (typed.go). Slices of
+// fixed-width numbers, tagged or derived, are one little-endian bulk run.
+// An unregistered type is an encode error; an unknown name a decode error.
 //
 // The format is self-describing at the value level but NOT versioned beyond
 // the codec name: changing any tag or layout means introducing a new codec
-// name, negotiated in the handshake like any other.
+// name, negotiated in the handshake like any other. Tag 0x0d is retired and
+// never reused, so a peer still sending it gets an unknown-tag error
+// instead of a misparse.
 
 const (
 	bkRequest  = 0x01
@@ -71,7 +75,7 @@ const (
 	vInt64s   = 0x0a // uvarint count + 8-byte LE each
 	vFloat64s = 0x0b // uvarint count + 8-byte LE each
 	vAnys     = 0x0c // uvarint count + nested values
-	vGob      = 0x0d // uvarint len + standalone gob stream of gobValue
+	vTyped    = 0x0e // uvarint len + registered type name + derived layout
 )
 
 // maxFrame bounds a frame a decoder will buffer: a corrupt or hostile length
@@ -91,10 +95,6 @@ func appendZigzag(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
 }
 
-// gobValue carries one exotic value through the vGob fallback; the concrete
-// type must be registered (RegisterType), same as under the gob codec.
-type gobValue struct{ V any }
-
 type binCodec struct{}
 
 func (binCodec) Name() string { return binaryName }
@@ -106,10 +106,9 @@ func (binCodec) newDecoder(br *bufio.Reader) frameDecoder { return &binDecoder{b
 // binEncoder assembles each frame in a reused scratch buffer and writes it
 // with its length prefix in one go; steady state allocates nothing.
 type binEncoder struct {
-	bw   *bufio.Writer
-	buf  []byte
-	hdr  [binary.MaxVarintLen64]byte
-	gobs bytes.Buffer // scratch for vGob fallback values
+	bw  *bufio.Writer
+	buf []byte
+	hdr [binary.MaxVarintLen64]byte
 }
 
 func (e *binEncoder) flushFrame() error {
@@ -160,7 +159,7 @@ func (e *binEncoder) EncodeRequest(req *request) error {
 		b = binary.AppendUvarint(b, uint64(len(req.Args)))
 		var err error
 		for _, v := range req.Args {
-			if b, err = e.appendValue(b, v); err != nil {
+			if b, err = appendValue(b, v); err != nil {
 				e.buf = b[:0]
 				return err
 			}
@@ -220,7 +219,7 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 		b = binary.AppendUvarint(b, uint64(len(resp.Results)))
 		var err error
 		for _, v := range resp.Results {
-			if b, err = e.appendValue(b, v); err != nil {
+			if b, err = appendValue(b, v); err != nil {
 				e.buf = b[:0]
 				return err
 			}
@@ -230,7 +229,7 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 	return e.flushFrame()
 }
 
-func (e *binEncoder) appendValue(b []byte, v any) ([]byte, error) {
+func appendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(b, vNil), nil
@@ -253,41 +252,22 @@ func (e *binEncoder) appendValue(b []byte, v any) ([]byte, error) {
 		b = binary.AppendUvarint(append(b, vBytes), uint64(len(x)))
 		return append(b, x...), nil
 	case []int32:
-		b = binary.AppendUvarint(append(b, vInt32s), uint64(len(x)))
-		for _, e := range x {
-			b = binary.LittleEndian.AppendUint32(b, uint32(e))
-		}
-		return b, nil
+		return appendFixed(b, vInt32s, x), nil
 	case []int64:
-		b = binary.AppendUvarint(append(b, vInt64s), uint64(len(x)))
-		for _, e := range x {
-			b = binary.LittleEndian.AppendUint64(b, uint64(e))
-		}
-		return b, nil
+		return appendFixed(b, vInt64s, x), nil
 	case []float64:
-		b = binary.AppendUvarint(append(b, vFloat64s), uint64(len(x)))
-		for _, e := range x {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e))
-		}
-		return b, nil
+		return appendFixed(b, vFloat64s, x), nil
 	case []any:
 		b = binary.AppendUvarint(append(b, vAnys), uint64(len(x)))
 		var err error
-		for _, e2 := range x {
-			if b, err = e.appendValue(b, e2); err != nil {
+		for _, e := range x {
+			if b, err = appendValue(b, e); err != nil {
 				return b, err
 			}
 		}
 		return b, nil
 	default:
-		// Exotic registered type: a standalone gob stream per value. Cold
-		// path by design — the Class.Wire types above cover the hot traffic.
-		e.gobs.Reset()
-		if err := gob.NewEncoder(&e.gobs).Encode(&gobValue{V: v}); err != nil {
-			return b, fmt.Errorf("rmi: binary codec gob fallback for %T: %w", v, err)
-		}
-		b = binary.AppendUvarint(append(b, vGob), uint64(e.gobs.Len()))
-		return append(b, e.gobs.Bytes()...), nil
+		return appendTyped(b, v)
 	}
 }
 
@@ -550,56 +530,11 @@ func (c *wireCursor) value() (any, error) {
 		}
 		return append([]byte(nil), b...), nil
 	case vInt32s:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(c.remaining())/4 {
-			return nil, errFrameTruncated
-		}
-		b, err := c.take(n * 4)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-		return out, nil
+		return readFixed[int32](c)
 	case vInt64s:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(c.remaining())/8 {
-			return nil, errFrameTruncated
-		}
-		b, err := c.take(n * 8)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-		return out, nil
+		return readFixed[int64](c)
 	case vFloat64s:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(c.remaining())/8 {
-			return nil, errFrameTruncated
-		}
-		b, err := c.take(n * 8)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-		return out, nil
+		return readFixed[float64](c)
 	case vAnys:
 		v, err := c.values()
 		if err != nil {
@@ -609,20 +544,8 @@ func (c *wireCursor) value() (any, error) {
 			v = []any{}
 		}
 		return v, nil
-	case vGob:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.take(n)
-		if err != nil {
-			return nil, err
-		}
-		var gv gobValue
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&gv); err != nil {
-			return nil, fmt.Errorf("rmi: binary codec gob fallback: %w", err)
-		}
-		return gv.V, nil
+	case vTyped:
+		return c.typed()
 	default:
 		return nil, fmt.Errorf("rmi: unknown value tag 0x%02x", tag)
 	}

@@ -44,8 +44,17 @@ func (g *fuzzGen) str(max int) string {
 	return string(b)
 }
 
+// float returns a generated float64 that is never NaN (NaN != NaN would
+// fail DeepEqual for the wrong reason).
+func (g *fuzzGen) float(fallback float64) float64 {
+	if f := math.Float64frombits(g.u64()); !math.IsNaN(f) {
+		return f
+	}
+	return fallback
+}
+
 func (g *fuzzGen) value(depth int) any {
-	kind := g.byte() % 11
+	kind := g.byte() % 14
 	if depth > 0 && kind == 10 {
 		kind = g.byte() % 10 // nested lists only one level deep
 	}
@@ -59,11 +68,7 @@ func (g *fuzzGen) value(depth int) any {
 	case 3:
 		return int64(g.u64())
 	case 4:
-		f := math.Float64frombits(g.u64())
-		if math.IsNaN(f) {
-			f = 0.5 // NaN != NaN would fail DeepEqual for the wrong reason
-		}
-		return f
+		return g.float(0.5)
 	case 5:
 		return g.str(12)
 	case 6:
@@ -91,13 +96,35 @@ func (g *fuzzGen) value(depth int) any {
 		n := 1 + int(g.byte())%8
 		v := make([]float64, n)
 		for i := range v {
-			f := math.Float64frombits(g.u64())
-			if math.IsNaN(f) {
-				f = float64(i)
-			}
-			v[i] = f
+			v[i] = g.float(float64(i))
 		}
 		return v
+	case 11: // a named float slice: the derived bulk path (imagepipe.Frame)
+		n := 1 + int(g.byte())%8
+		v := make(testFrame, n)
+		for i := range v {
+			v[i] = g.float(float64(i))
+		}
+		return v
+	case 12: // a struct of exported fields (mandel.Spec)
+		return testSpec{
+			Width: int(int64(g.u64())), Height: int(g.byte()),
+			XMin: g.float(-2), XMax: g.float(1), YMin: g.float(-1), YMax: g.float(1),
+			MaxIter: int(int32(uint32(g.u64()))),
+		}
+	case 13: // a map of fixed-width slices (mandel's row results)
+		m := make(map[int][]uint16)
+		for n := 1 + int(g.byte())%4; len(m) < n; {
+			row := make([]uint16, 1+int(g.byte())%6)
+			for i := range row {
+				row[i] = uint16(g.u64())
+			}
+			m[int(int8(g.byte()))] = row
+			if g.off >= len(g.data) {
+				break // exhausted input generates the same key forever
+			}
+		}
+		return m
 	default:
 		n := 1 + int(g.byte())%3
 		v := make([]any, n)
@@ -245,6 +272,18 @@ func FuzzBinaryDecodeRobustness(f *testing.F) {
 	bw.Flush()
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
+	// Typed values: a frame carrying a derived type, the same frame cut
+	// short mid-value, and one naming a type nobody registered.
+	buf.Reset()
+	bw = bufio.NewWriter(&buf)
+	enc = BinaryCodec().newEncoder(bw)
+	enc.EncodeRequest(&request{Object: "S0", Method: "Ingest", Args: []any{int64(3), testFrame{0.25, 1, -7},
+		PipeStatus{Version: 1, Strands: []Stranded{{Name: "S1", Args: []any{testFrame{2}}}}}}})
+	bw.Flush()
+	typed := append([]byte(nil), buf.Bytes()...)
+	f.Add(typed)
+	f.Add(typed[:len(typed)-5])
+	f.Add(typedFrame("example.com/pkg.Unknown", []byte{1, 2, 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req request
 		BinaryCodec().newDecoder(bufio.NewReader(bytes.NewReader(data))).DecodeRequest(&req)

@@ -92,12 +92,14 @@ func (c *chaosNodes) node(i int) *rmi.Node {
 }
 
 // crashRestart kills node i (abandoning everything in flight) and brings up
-// a fresh incarnation — new epoch, empty registry — on the same address.
-func (c *chaosNodes) crashRestart(i int) error {
+// a fresh incarnation — new epoch, empty registry — on the same address. It
+// returns the requests the killed incarnation had served.
+func (c *chaosNodes) crashRestart(i int) (int64, error) {
 	c.mu.Lock()
 	old := c.nodes[i]
 	c.mu.Unlock()
 	old.Abort()
+	served := old.Requests()
 	node := rmi.NewNode(exec.Real(), rmi.WithClock(c.clk))
 	par.HostClass(node, DefineClass(par.NewDomain()))
 	var err error
@@ -108,27 +110,39 @@ func (c *chaosNodes) crashRestart(i int) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err != nil {
-		return fmt.Errorf("restart node %d on %s: %w", i, c.addrs[i], err)
+		return served, fmt.Errorf("restart node %d on %s: %w", i, c.addrs[i], err)
 	}
 	c.mu.Lock()
 	c.nodes[i] = node
 	c.mu.Unlock()
-	return nil
+	return served, nil
 }
 
 // watchAndKill crash-restarts the victim the moment it has served killAt
 // requests — an event fired by the server's own dispatch loop, not a polled
-// counter, so the kill lands at the same request boundary on every run. It
-// reports through killed whether the kill fired before stop closed.
-func (c *chaosNodes) watchAndKill(victim int, killAt int64, stop <-chan struct{}, killed *atomic.Bool) {
+// counter, so the kill lands at the same request boundary on every run.
+// Once the fresh incarnation is up it calls killed with the requests the
+// victim had served when it died; it does not call it when stop closed
+// first.
+func (c *chaosNodes) watchAndKill(victim int, killAt int64, stop <-chan struct{}, killed func(served int64)) {
 	select {
 	case <-stop:
 		return
 	case <-c.node(victim).WatchRequests(killAt):
 	}
-	if err := c.crashRestart(victim); err == nil {
-		killed.Store(true)
+	if served, err := c.crashRestart(victim); err == nil {
+		killed(served)
 	}
+}
+
+// killedMidRun reports whether a kill that fired left the run anything to
+// recover from. The restarted incarnation starts counting at zero, so its
+// served requests are exactly what the run sent the victim after the kill:
+// a reconnect, a replay, a re-creation. None means the kill landed after
+// the victim's last request (its served-request watermark was final) — the
+// run finished without needing the fault path, and that is not a failure.
+func (c *chaosNodes) killedMidRun(victim int, killedAt int64) bool {
+	return killedAt >= 0 && c.node(victim).Requests() > 0
 }
 
 // chaosCell is one fault-injected conformance cell: a matrix combo plus the
@@ -186,8 +200,9 @@ func TestChaosMatrix(t *testing.T) {
 				killAt := int64(4 + rng.Intn(10))
 				tag := fmt.Sprintf("seed=%d cell=%s kill=%d victim=%d killAt=%d", seed, cell.name, k, victim, killAt)
 				stop := make(chan struct{})
-				var killed atomic.Bool
-				go nodes.watchAndKill(victim, killAt, stop, &killed)
+				var killedAt atomic.Int64
+				killedAt.Store(-1)
+				go nodes.watchAndKill(victim, killAt, stop, killedAt.Store)
 
 				pc := p
 				pc.NetAddrs = nodes.addrs
@@ -202,7 +217,7 @@ func TestChaosMatrix(t *testing.T) {
 					t.Errorf("%s: work conservation broken: Executed %d != Seeded %d + Splits %d",
 						tag, st.Executed, st.Seeded, st.Splits)
 				}
-				if killed.Load() {
+				if nodes.killedMidRun(victim, killedAt.Load()) {
 					f := res.Faults
 					if f.Reconnects+f.Failovers+f.DroppedPeers+f.Requeues == 0 {
 						t.Errorf("%s: node was killed mid-run but FaultStats is empty: %+v", tag, f)
@@ -211,6 +226,8 @@ func TestChaosMatrix(t *testing.T) {
 						t.Errorf("%s: peer dropped without failing its objects over: %+v", tag, f)
 					}
 					t.Logf("%s: recovered (stats %+v)", tag, f)
+				} else if w := killedAt.Load(); w >= 0 {
+					t.Logf("%s: kill at watermark %d landed after the victim's last request", tag, w)
 				} else {
 					t.Logf("%s: kill fired after the run finished (faster run than kill point)", tag)
 				}

@@ -188,7 +188,7 @@ func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want [
 	survivor := 1 - sc.Victim
 	switch sc.Kind {
 	case "kill":
-		go nodes.watchAndKill(sc.Victim, sc.At, stop, &fired)
+		go nodes.watchAndKill(sc.Victim, sc.At, stop, func(int64) { fired.Store(true) })
 	case "partition":
 		go func() {
 			select {
@@ -221,8 +221,8 @@ func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want [
 		}()
 	case "multikill":
 		var second atomic.Bool
-		go nodes.watchAndKill(sc.Victim, sc.At, stop, &fired)
-		go nodes.watchAndKill(survivor, sc.At2, stop, &second)
+		go nodes.watchAndKill(sc.Victim, sc.At, stop, func(int64) { fired.Store(true) })
+		go nodes.watchAndKill(survivor, sc.At2, stop, func(int64) { second.Store(true) })
 	case "driver-restart":
 		go func() {
 			// Pin the victim's current incarnation: under a starved scheduler
@@ -255,7 +255,7 @@ func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want [
 		// middleware. The rerun must be exact and must carry no residue of
 		// run 1's chaos — its fault counters stay zero.
 		for i := range nodes.addrs {
-			if err := nodes.crashRestart(i); err != nil {
+			if _, err := nodes.crashRestart(i); err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
 		}

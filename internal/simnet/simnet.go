@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"time"
 )
 
@@ -136,24 +137,51 @@ func gobSize(v any) int {
 	switch x := v.(type) {
 	case nil:
 		return 0
-	case []int32:
-		return 4 * len(x)
-	case []int64:
-		return 8 * len(x)
-	case []float64:
-		return 8 * len(x)
-	case []byte:
-		return len(x)
 	case int, int32, int64, float64:
 		return 8
 	case string:
 		return len(x)
+	}
+	// A slice of fixed-width numbers, named or not ([]int32 packs,
+	// imagepipe.Frame), or a slice of such slices ([]Frame, [][]float64):
+	// width × length, without a gob pass per call.
+	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Slice {
+		elem := rv.Type().Elem()
+		if w := fixedWidth(elem.Kind()); w > 0 {
+			return w * rv.Len()
+		}
+		if elem.Kind() == reflect.Slice {
+			if w := fixedWidth(elem.Elem().Kind()); w > 0 {
+				n := 0
+				for i := 0; i < rv.Len(); i++ {
+					n += rv.Index(i).Len()
+				}
+				return w * n
+			}
+		}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return 64 // opaque argument: fixed estimate
 	}
 	return buf.Len()
+}
+
+// fixedWidth is the byte width of a fixed-width number kind, 0 otherwise.
+func fixedWidth(k reflect.Kind) int {
+	switch k {
+	case reflect.Int8, reflect.Uint8:
+		return 1
+	case reflect.Int16, reflect.Uint16:
+		return 2
+	case reflect.Int32, reflect.Uint32, reflect.Float32:
+		return 4
+	case reflect.Int64, reflect.Uint64, reflect.Float64, reflect.Complex64:
+		return 8
+	case reflect.Complex128:
+		return 16
+	}
+	return 0
 }
 
 // FixedSizer reports a constant size regardless of arguments; useful in

@@ -104,6 +104,18 @@ func TestGobSizerFastPaths(t *testing.T) {
 	if got := s.Size([]any{int(1), int64(2), float64(3)}); got != 24 {
 		t.Errorf("scalar sizes = %d, want 24", got)
 	}
+	// Named and unnamed slices of fixed-width numbers, and slices of them,
+	// take the arithmetic path too — no gob pass, no allocation.
+	type frame []float64
+	frames := []any{frame{1, 2, 3}, []frame{{1}, {2, 3}}, [][]float64{{1, 2}, {}}, []uint16{1, 2}}
+	for i, want := range []int{24, 24, 16, 4} {
+		if got := s.Size(frames[i : i+1]); got != want {
+			t.Errorf("%T size = %d, want %d", frames[i], got, want)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { s.Size(frames) }); avg != 0 {
+		t.Errorf("fast-path sizing allocates %.1f objects per call, want 0", avg)
+	}
 }
 
 func TestGobSizerStructs(t *testing.T) {
@@ -114,6 +126,9 @@ func TestGobSizerStructs(t *testing.T) {
 		t.Errorf("struct size = %d, want > 0", n)
 	}
 	// Unencodable values fall back to a fixed estimate.
+	if got := s.Size([]any{[]string{"a"}, []any{1}}); got <= 0 {
+		t.Errorf("slices off the fast path size = %d, want > 0", got)
+	}
 	if got := s.Size([]any{func() {}}); got != 64 {
 		t.Errorf("unencodable size = %d, want 64", got)
 	}
