@@ -4,7 +4,9 @@
 // daemons with the stage topology installed, and every stage-to-stage hop
 // runs peer-to-peer between the nodes. This client only submits frames into
 // stage 0 (windowed, one-way) and drains completions from the terminal
-// stage's ledger.
+// stage's ledger, which delivers each frame exactly once; a frame not
+// delivered within the service's retry deadline is re-submitted from the
+// head. A -wave larger than -window goes in whole once the stream is empty.
 //
 // A two-node streaming session:
 //
@@ -49,7 +51,6 @@ func main() {
 	cfg := imagepipe.ServiceConfig{
 		Registry: *registry,
 		Window:   *window,
-		Nodes:    2,
 	}
 	if *netAddrs != "" {
 		for _, a := range strings.Split(*netAddrs, ",") {

@@ -21,10 +21,8 @@ type Frame []float64
 
 // Stage is the sequential core class: one image filter. It is oblivious of
 // pipelining, concurrency and distribution. For the resident streaming
-// service the stage also carries a small idempotence layer: a bounded cache
-// of recently filtered frame ids (so a redelivered hop re-forwards the
-// cached output instead of duplicating work) and — on the terminal stage —
-// an exactly-once delivery ledger the service drains with TakeDone.
+// service the terminal stage also keeps an exactly-once delivery ledger the
+// service drains with TakeDone.
 type Stage struct {
 	kind string
 	last bool // terminal stage of a streaming chain: records completions
@@ -33,18 +31,14 @@ type Stage struct {
 	out []Frame
 	ops int64
 
-	seen       map[int64]Frame // id → cached output (bounded by streamSeen)
-	order      []int64         // seen insertion order, for eviction
-	recorded   map[int64]bool  // terminal only: ids ever enqueued for delivery
-	doneIDs    []int64         // terminal only: completions awaiting TakeDone
+	// Terminal only: the delivery ledger. Ids below floor were delivered
+	// and are forgotten; recorded holds the ids at or above it already
+	// enqueued, so it stays bounded by the stream's in-flight spread.
+	floor      int64
+	recorded   map[int64]bool
+	doneIDs    []int64 // completions awaiting TakeDone
 	doneFrames []Frame
 }
-
-// streamSeen bounds each stage's idempotence cache. Old entries evict in
-// insertion order; the end-to-end retry in Service re-filters anything that
-// falls out (the filters are deterministic, so a recomputed frame is
-// byte-identical to the evicted one).
-const streamSeen = 4096
 
 // NewStage builds a filter stage of the given kind: "blur", "sharpen" or
 // "threshold".
@@ -112,44 +106,41 @@ func (s *Stage) Apply(f Frame) Frame {
 
 // Ingest is the streaming entry point: filter one identified frame and
 // return (id, output) for the forward rule to carry to the next stage. A
-// repeated id — a redelivered strand or an end-to-end retry — returns the
-// cached output without re-counting work, so retries are idempotent at
-// every stage and the terminal ledger delivers each id at most once.
+// repeated id — a redelivered strand or an end-to-end retry — is filtered
+// again (the filters are deterministic, so the output is byte-identical);
+// the terminal stage's ledger enqueues each id at most once, and never one
+// below the delivered floor.
 func (s *Stage) Ingest(id int64, f Frame) (int64, Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if out, ok := s.seen[id]; ok {
-		return id, out
-	}
 	out := s.filter(f)
-	if s.seen == nil {
-		s.seen = make(map[int64]Frame)
-	}
-	s.seen[id] = out
-	s.order = append(s.order, id)
-	if len(s.order) > streamSeen {
-		delete(s.seen, s.order[0])
-		s.order = s.order[1:]
-	}
-	if s.last {
+	if s.last && id >= s.floor && !s.recorded[id] {
 		if s.recorded == nil {
 			s.recorded = make(map[int64]bool)
 		}
-		if !s.recorded[id] {
-			s.recorded[id] = true
-			s.doneIDs = append(s.doneIDs, id)
-			s.doneFrames = append(s.doneFrames, out)
-		}
+		s.recorded[id] = true
+		s.doneIDs = append(s.doneIDs, id)
+		s.doneFrames = append(s.doneFrames, out)
 	}
 	return id, out
 }
 
 // TakeDone drains the terminal stage's completion ledger: every (id, frame)
 // pair that finished the full chain since the last drain, each id exactly
-// once over the stage's lifetime.
-func (s *Stage) TakeDone() ([]int64, []Frame) {
+// once over the stage's lifetime. floor is the caller's delivered floor —
+// every id below it was delivered — so the ledger forgets those ids and
+// rejects them from then on.
+func (s *Stage) TakeDone(floor int64) ([]int64, []Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if floor > s.floor {
+		s.floor = floor
+		for id := range s.recorded {
+			if id < floor {
+				delete(s.recorded, id)
+			}
+		}
+	}
 	ids, frames := s.doneIDs, s.doneFrames
 	s.doneIDs, s.doneFrames = nil, nil
 	return ids, frames
@@ -191,7 +182,7 @@ func Sequential(frames []Frame) []Frame {
 
 // DefineClass registers the image Stage on a domain. Both ends of a
 // distributed deployment — the streaming Service driver and every rminode
-// worker daemon — call this, so the class (and its named "stream" forward
+// worker daemon — call this, so the class (and its named "results" forward
 // rule, which a peer-to-peer topology runs node-side) is defined
 // identically in every process. The constructor takes the filter kind and,
 // optionally, a terminal flag marking the stage that records completions.
@@ -216,23 +207,21 @@ func DefineClass(dom *par.Domain) *par.Class {
 				return []any{id, out}, nil
 			},
 			"TakeDone": func(target any, args []any) ([]any, error) {
-				ids, frames := target.(*Stage).TakeDone()
+				ids, frames := target.(*Stage).TakeDone(args[0].(int64))
 				return []any{ids, frames}, nil
 			},
 			"Results": func(target any, args []any) ([]any, error) {
 				return []any{target.(*Stage).Results()}, nil
 			},
 		}).Wire(Frame(nil), []Frame(nil), int64(0), []int64(nil)).
-		// The streaming hop derivation as a NAMED rule, so the nodes' forward
-		// lanes can run it without the driver: an Ingest result (id, frame)
-		// becomes the next stage's Ingest arguments verbatim. Must stay
-		// semantically identical to the Forward closure in Service's pipeline
-		// config — the conformance tests pin the two paths byte-equal.
-		DefineForward("stream", func(stage int, results, args []any) []any {
-			if len(results) != 2 {
+		// The application's one forward rule, NAMED so the nodes' forward
+		// lanes can run it without the driver: a stage's results become the
+		// next stage's arguments (Apply's frame, Ingest's id and frame).
+		DefineForward("results", func(stage int, results, args []any) []any {
+			if len(results) == 0 {
 				return nil
 			}
-			return []any{results[0], results[1]}
+			return results
 		})
 }
 
@@ -267,12 +256,7 @@ func Build() *Wiring {
 			}
 			return parts
 		},
-		Forward: func(stage int, results []any, args []any) []any {
-			if len(results) == 0 || results[0] == nil {
-				return nil
-			}
-			return []any{results[0].(Frame)}
-		},
+		ForwardRule: "results",
 	})
 	w.Conc = par.NewConcurrency(aspect.Call("Stage", "Apply"))
 	w.Stack = par.NewStack(w.Dom, w.Pipe, w.Conc)

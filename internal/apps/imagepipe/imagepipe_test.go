@@ -3,6 +3,7 @@ package imagepipe
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -86,6 +87,55 @@ func TestPipelineStagesSeeAllFrames(t *testing.T) {
 		if got := len(s.(*Stage).Results()); got != 5 {
 			t.Errorf("stage %d processed %d frames, want 5", i, got)
 		}
+	}
+}
+
+// TestTerminalLedgerBoundedByFloor streams 10k ids through a terminal stage
+// the way the service drives it: a window of ids in flight, each round
+// ingesting a random subset in random order (an id already delivered but
+// still above the floor arrives again, as a redelivered hop would), plus a
+// stale redelivery of an id below the floor. Every drain passes the
+// delivered floor. The ledger must stay bounded by the in-flight spread,
+// and no id may be delivered twice or below the floor.
+func TestTerminalLedgerBoundedByFloor(t *testing.T) {
+	const total, spread = 10000, 64
+	s, _ := NewStage("threshold")
+	s.last = true
+	f := Frame{0.7}
+	rng := rand.New(rand.NewSource(1))
+	delivered := make(map[int64]bool)
+	var floor, next int64 // lowest undelivered id; next id to admit
+	for floor < total {
+		for next < total && next-floor < spread {
+			next++
+		}
+		for _, k := range rng.Perm(int(next - floor)) {
+			if rng.Intn(2) == 0 {
+				s.Ingest(floor+int64(k), f)
+			}
+		}
+		if floor > 0 {
+			s.Ingest(rng.Int63n(floor), f)
+		}
+		ids, frames := s.TakeDone(floor)
+		if len(ids) != len(frames) {
+			t.Fatalf("ledger returned %d ids and %d frames", len(ids), len(frames))
+		}
+		for _, id := range ids {
+			if id < floor || delivered[id] {
+				t.Fatalf("id %d delivered again (floor %d)", id, floor)
+			}
+			delivered[id] = true
+		}
+		if n := len(s.recorded); n > spread {
+			t.Fatalf("ledger holds %d ids with %d in flight", n, spread)
+		}
+		for floor < next && delivered[floor] {
+			floor++
+		}
+	}
+	if len(delivered) != total {
+		t.Fatalf("delivered %d ids, want %d", len(delivered), total)
 	}
 }
 

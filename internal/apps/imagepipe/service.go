@@ -21,16 +21,16 @@ import (
 // only steady-state traffic is the ingest feed plus a completion poll of
 // the terminal stage's ledger.
 //
-// Delivery is exactly-once end to end, by layered idempotence rather than
-// distributed transactions: every frame carries a stream id, every stage
-// dedupes ids against a bounded cache (a redelivered hop re-forwards the
-// cached output), the terminal stage's ledger records each id at most once,
-// and the service re-ingests from the head any id that misses its retry
-// deadline. A mid-stream stage crash therefore loses nothing: unacked hops
-// strand at the upstream node and are redelivered after the topology heals
+// Delivery is exactly-once end to end, by two idempotence layers rather
+// than distributed transactions: every frame carries a stream id, the
+// terminal stage's ledger delivers each id at most once, and the service
+// re-ingests from the head any id that misses its retry deadline. A
+// mid-stream stage crash therefore loses nothing: unacked hops strand at
+// the upstream node and are redelivered after the topology heals
 // (par.NetRMI.PumpTopology), anything lost inside the dead process is
-// re-driven from the head, and the dedupe layers absorb every duplicate the
-// recovery creates.
+// re-driven from the head, and the inner stages simply re-filter the
+// duplicates the recovery creates (the filters are deterministic), which
+// the ledger then absorbs.
 type Service struct {
 	cfg   ServiceConfig
 	clk   clock.Clock
@@ -65,12 +65,8 @@ type pendingFrame struct {
 // deployment — with fault tolerance off.
 type ServiceConfig struct {
 	// Addrs lists existing rmi.Node daemons (cmd/rminode) to deploy onto.
-	// Empty launches Nodes in-process loopback daemons instead.
+	// Empty launches two in-process loopback daemons instead.
 	Addrs []string
-
-	// Nodes is how many in-process daemons to launch when Addrs is empty
-	// (default 2).
-	Nodes int
 
 	// Registry switches the service onto an elastic pool (par.DialPool):
 	// membership follows the registry, and a cordoned member's hops strand,
@@ -86,17 +82,9 @@ type ServiceConfig struct {
 
 	// Window bounds the in-flight stream: Submit blocks (pumping
 	// completions) while more than Window frames are submitted but not yet
-	// delivered. Zero means unbounded.
+	// delivered. A batch larger than Window is admitted once nothing is
+	// pending. Zero means unbounded.
 	Window int
-
-	// RetryAfter is the end-to-end retry deadline: a frame not delivered
-	// within it is re-ingested from the head (default 250ms). Stage-level
-	// dedupe makes the retry idempotent.
-	RetryAfter time.Duration
-
-	// Poll is the pump cadence while waiting in Flush or a full window
-	// (default 2ms).
-	Poll time.Duration
 
 	// Clock overrides the service's time source (retry deadlines, poll
 	// pacing, middleware timers). Nil keeps the wall clock.
@@ -112,9 +100,12 @@ type ServiceStats struct {
 	Topo       par.TopologyStats
 }
 
-// flushStallLimit bounds Flush: this many consecutive pump rounds without a
-// single completion is reported as a stall instead of spinning forever.
-const flushStallLimit = 5000
+const (
+	ownedNodes      = 2                      // in-process daemons launched without Addrs or Registry
+	retryAfter      = 250 * time.Millisecond // end-to-end retry deadline: undelivered frames re-ingest from the head
+	pollEvery       = 2 * time.Millisecond   // pump cadence while waiting in Flush or a full window
+	flushStallLimit = 5000                   // pump rounds without a completion before Flush reports a stall
+)
 
 // StartService deploys the filter chain and returns the resident service.
 // The pipeline's stage topology is installed on the nodes at deploy time,
@@ -126,12 +117,6 @@ func StartService(cfg ServiceConfig) (*Service, error) {
 		ctx:     exec.Real(),
 		pending: make(map[int64]*pendingFrame),
 		ready:   make(map[int64]Frame),
-	}
-	if s.cfg.RetryAfter <= 0 {
-		s.cfg.RetryAfter = 250 * time.Millisecond
-	}
-	if s.cfg.Poll <= 0 {
-		s.cfg.Poll = 2 * time.Millisecond
 	}
 	if err := s.dial(); err != nil {
 		s.Close()
@@ -168,11 +153,7 @@ func (s *Service) dial() error {
 	}
 	addrs := s.cfg.Addrs
 	if len(addrs) == 0 {
-		count := s.cfg.Nodes
-		if count <= 0 {
-			count = 2
-		}
-		for i := 0; i < count; i++ {
+		for i := 0; i < ownedNodes; i++ {
 			var nodeOpts []rmi.Option
 			if s.cfg.Clock != nil {
 				nodeOpts = append(nodeOpts, rmi.WithClock(s.cfg.Clock))
@@ -222,15 +203,7 @@ func (s *Service) deploy() error {
 			}
 			return parts
 		},
-		// Caller-side twin of the "stream" rule, for the ClientForward
-		// fallback; in topology mode the nodes run the named rule instead.
-		Forward: func(stage int, results []any, args []any) []any {
-			if len(results) != 2 {
-				return nil
-			}
-			return []any{results[0], results[1]}
-		},
-		ForwardRule: "stream",
+		ForwardRule: "results",
 	})
 	var placement par.Placement
 	if s.pool != nil {
@@ -258,7 +231,8 @@ func (s *Service) deploy() error {
 // Results arrive asynchronously: Take drains them, Flush waits for them.
 // With a Window configured, Submit blocks pumping completions until the
 // stream has room — the client-side half of the backpressure chain whose
-// node-side half is the ack-clocked hop windows.
+// node-side half is the ack-clocked hop windows. A batch larger than the
+// whole Window waits until nothing is pending and then goes in at once.
 func (s *Service) Submit(frames []Frame) ([]int64, error) {
 	if len(frames) == 0 {
 		return nil, nil
@@ -272,7 +246,7 @@ func (s *Service) Submit(frames []Frame) ([]int64, error) {
 	if s.cfg.Window > 0 {
 		for {
 			s.mu.Lock()
-			room := len(s.pending)+len(frames) <= s.cfg.Window
+			room := len(s.pending) == 0 || len(s.pending)+len(frames) <= s.cfg.Window
 			s.mu.Unlock()
 			if room {
 				break
@@ -280,7 +254,7 @@ func (s *Service) Submit(frames []Frame) ([]int64, error) {
 			if err := s.pump(); err != nil {
 				return nil, err
 			}
-			s.clk.Sleep(s.cfg.Poll)
+			s.clk.Sleep(pollEvery)
 		}
 	}
 	s.mu.Lock()
@@ -324,7 +298,7 @@ func (s *Service) pump() error {
 		s.record(err)
 	}
 	marks := map[string]any{par.MarkInternal: true, par.MarkNoAsync: true}
-	res, err := s.class.CallMarked(s.ctx, marks, s.terminal, "TakeDone")
+	res, err := s.class.CallMarked(s.ctx, marks, s.terminal, "TakeDone", s.floor())
 	if err != nil {
 		if !s.cfg.Faults.Enabled {
 			return fmt.Errorf("imagepipe: polling completions: %w", err)
@@ -348,7 +322,7 @@ func (s *Service) pump() error {
 	}
 	now := s.clk.Now()
 	for id, p := range s.pending {
-		if now.Sub(p.since) >= s.cfg.RetryAfter {
+		if now.Sub(p.since) >= retryAfter {
 			p.since = now
 			retryIDs = append(retryIDs, id)
 			retryFrames = append(retryFrames, p.frame)
@@ -360,6 +334,20 @@ func (s *Service) pump() error {
 		return s.ingest(retryIDs, retryFrames)
 	}
 	return nil
+}
+
+// floor is the delivered floor the terminal ledger may forget below: the
+// lowest pending id, or the next id to assign when nothing is pending. Ids
+// are assigned in order and leave pending only on delivery, so every id
+// below it was delivered.
+func (s *Service) floor() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	floor := s.nextID
+	for id := range s.pending {
+		floor = min(floor, id)
+	}
+	return floor
 }
 
 // Flush pumps until every submitted frame has been delivered — the
@@ -390,7 +378,7 @@ func (s *Service) Flush() error {
 			return fmt.Errorf("imagepipe: stream stalled with %d frames outstanding: %w",
 				outstanding, errors.Join(errs...))
 		}
-		s.clk.Sleep(s.cfg.Poll)
+		s.clk.Sleep(pollEvery)
 	}
 }
 

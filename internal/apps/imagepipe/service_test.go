@@ -48,7 +48,7 @@ func assertStream(t *testing.T, got map[int64]Frame, ids []int64, in, want []Fra
 // with the inner hops running peer-to-peer.
 func TestServiceStreamsOverTwoNodes(t *testing.T) {
 	requireLoopback(t)
-	s, err := StartService(ServiceConfig{Nodes: 2, Window: 8})
+	s, err := StartService(ServiceConfig{Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +86,48 @@ func TestServiceStreamsOverTwoNodes(t *testing.T) {
 	}
 }
 
+// TestServiceAdmitsBatchLargerThanWindow pins the window's admission rule
+// for a batch that could never fit: it goes in whole once nothing is
+// pending, instead of waiting forever for room. The second batch waits for
+// the first to drain, then goes in the same way.
+func TestServiceAdmitsBatchLargerThanWindow(t *testing.T) {
+	requireLoopback(t)
+	s, err := StartService(ServiceConfig{Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	in := frames(16, 16)
+	want := Sequential(in)
+	done := make(chan error, 1)
+	var ids []int64
+	go func() {
+		for lo := 0; lo < len(in); lo += 8 {
+			batch, err := s.Submit(in[lo : lo+8])
+			if err != nil {
+				done <- err
+				return
+			}
+			ids = append(ids, batch...)
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit of a batch larger than Window never returned")
+	}
+	got, err := s.Drain()
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	assertStream(t, got, ids, in, want)
+}
+
 // TestServiceSurvivesMidStreamStageKill is the chaos conformance cell: a
 // node hosting a mid-pipeline stage is crashed while the stream is open.
 // The fault layer reincarnates the stage, the topology control plane heals
@@ -116,8 +158,7 @@ func TestServiceSurvivesMidStreamStageKill(t *testing.T) {
 	}()
 
 	s, err := StartService(ServiceConfig{
-		Addrs:      addrs,
-		RetryAfter: 150 * time.Millisecond,
+		Addrs: addrs,
 		Faults: par.FaultPolicy{
 			Enabled: true, // failover is the default: the dead stage reincarnates
 			Reconnect: rmi.ReconnectPolicy{
@@ -157,6 +198,7 @@ func TestServiceSurvivesMidStreamStageKill(t *testing.T) {
 	assertStream(t, got, ids, in, want)
 
 	st := s.Stats()
+	t.Logf("stats through the kill: %+v", st)
 	if st.Duplicates != 0 {
 		t.Errorf("duplicated deliveries: %+v", st)
 	}

@@ -108,12 +108,12 @@ type Class struct {
 // the stage, so it cannot close over driver state.
 type ForwardFunc func(stage int, results, args []any) []any
 
-// DefineForward registers a named forward rule on the class. Closures cannot
-// cross the wire, so peer-to-peer pipeline forwarding (Pipeline.UseTopology)
-// names the rule instead: every process that defines the class — driver and
-// worker nodes alike, typically through one shared DefineClass helper —
-// registers the same rule under the same name, and the installed topology
-// carries only the name. Registering the same name twice panics, like
+// DefineForward registers a named forward rule on the class, which a
+// pipeline selects with PipelineConfig.ForwardRule. Closures cannot cross
+// the wire, so the rule is named: every process that defines the class —
+// driver and worker nodes alike, typically through one shared DefineClass
+// helper — registers the same rule under the same name, and the installed
+// topology carries only the name. Registering the same name twice panics, like
 // defining a class twice: rule identity is program structure. It returns the
 // class for chaining after Define.
 func (c *Class) DefineForward(name string, fn ForwardFunc) *Class {
@@ -356,12 +356,11 @@ func (s *Stack) Unplug() {
 
 // Module precedence levels; see the package comment for the resulting chain.
 const (
-	precPartition     = 40
-	precOptimisation  = 35
-	precAsync         = 30
-	precClientForward = 25 // pipeline forwarding at the caller (PipelineConfig.ClientForward)
-	precDistribution  = 20
-	precSync          = 10
-	precForward       = 8
-	precMetering      = 5
+	precPartition    = 40
+	precOptimisation = 35
+	precAsync        = 30
+	precDistribution = 20
+	precSync         = 10
+	precForward      = 8
+	precMetering     = 5
 )

@@ -172,10 +172,13 @@
 // (rmi.CtlExportNew), the node's own domain runs the constructor, and the
 // caller gets a [NetRef] remote reference whose calls distribution advice
 // redirects — core code never observes the substitution. Wire types are
-// registered with gob from [Class.Wire] metadata on both ends, since both
-// processes define the class identically. Second, the remote domain cannot
-// run client-side modules' server advice, so the pipeline's stage-to-stage
-// forwarding moves to the caller (PipelineConfig.ClientForward).
+// registered (rmi.RegisterType) from [Class.Wire] metadata on both ends,
+// since both processes define the class identically. Second, the remote
+// domain cannot run client-side modules' server advice, so the pipeline's
+// stage-to-stage forwarding moves onto the nodes: [Pipeline.UseTopology]
+// installs the stage chain there, and each node's forward lane runs the
+// class's named forward rule ([Class.DefineForward]) and ships the hop to
+// its successor's peer.
 //
 // Failure semantics follow the transport: a peer crash resolves in-flight
 // completions with transport errors, client Close resolves them with

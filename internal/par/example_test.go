@@ -170,9 +170,6 @@ func ExamplePipeline_UseTopology() {
 			}
 			return parts
 		},
-		Forward: func(stage int, results []any, args []any) []any {
-			return []any{results[0]}
-		},
 		ForwardRule: "carry",
 	})
 	dist := par.NewDistribution(dom,

@@ -200,6 +200,20 @@ func TestPipelineAloneIsSequentialAndComplete(t *testing.T) {
 
 func TestPipelineStageArgsAndForward(t *testing.T) {
 	dom, class := defineBox(t)
+	// Forward only even numbers onward: each stage halves the stream.
+	class.DefineForward("halve-evens", func(stage int, results, args []any) []any {
+		in := args[0].([]int32)
+		var out []int32
+		for _, v := range in {
+			if v%2 == 0 {
+				out = append(out, v/2)
+			}
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		return []any{out}
+	})
 	pipe := NewPipeline(PipelineConfig{
 		Class:  class,
 		Method: "Work",
@@ -207,20 +221,7 @@ func TestPipelineStageArgsAndForward(t *testing.T) {
 		StageArgs: func(orig []any, stage int) []any {
 			return []any{fmt.Sprintf("stage-%d", stage)}
 		},
-		// Forward only even numbers onward: each stage halves the stream.
-		Forward: func(stage int, results []any, args []any) []any {
-			in := args[0].([]int32)
-			var out []int32
-			for _, v := range in {
-				if v%2 == 0 {
-					out = append(out, v/2)
-				}
-			}
-			if len(out) == 0 {
-				return nil
-			}
-			return []any{out}
-		},
+		ForwardRule: "halve-evens",
 	})
 	stack := NewStack(dom, pipe)
 	ctx := exec.Real()
@@ -241,6 +242,19 @@ func TestPipelineStageArgsAndForward(t *testing.T) {
 			t.Errorf("stage %d items = %v, want %v", i, s.(*box).items, want[i])
 		}
 	}
+}
+
+// TestPipelineUnknownForwardRulePanics: NewPipeline resolves ForwardRule
+// once, so a name the class never registered is a wiring bug caught at
+// construction, not on the first hop.
+func TestPipelineUnknownForwardRulePanics(t *testing.T) {
+	_, class := defineBox(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("NewPipeline accepted an unregistered forward rule")
+		}
+	}()
+	NewPipeline(PipelineConfig{Class: class, Method: "Work", Stages: 2, ForwardRule: "missing"})
 }
 
 func TestFarmAloneRoundRobin(t *testing.T) {

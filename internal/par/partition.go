@@ -81,30 +81,12 @@ type PipelineConfig struct {
 	// argument lists of the parallel sub-calls (the paper's pack split).
 	// nil forwards the original call unsplit.
 	Split func(args []any) [][]any
-	// Forward derives, from a completed stage call, the arguments to send
-	// to the next stage; returning nil stops propagation at this stage.
-	// nil reuses the sub-call arguments unchanged.
-	Forward func(stage int, results []any, args []any) []any
-	// ClientForward moves call forwarding to the caller's side of the
-	// middleware. The default forwarding advice sits below distribution and
-	// runs where the stage lives — which requires the server side to
-	// re-enter this module's weaver, as the in-process middlewares do. A
-	// process-separated middleware (par.NetRMI) dispatches into the remote
-	// node's own domain, where this module is not plugged; with
-	// ClientForward the forwarding advice sits above distribution instead,
-	// so each stage's results return to the caller and the caller ships
-	// them to the next stage. Results are identical; the traffic pattern
-	// doubles back through the caller on every hop (and forwarded calls
-	// cannot stay void, since the caller needs the results to forward).
-	//
-	// UseTopology is the third option for process-separated middlewares:
-	// hops run node-side, peer-to-peer, without the doubling.
-	ClientForward bool
-	// ForwardRule names a forward rule registered on Class with
-	// DefineForward — the wire-shippable twin of the Forward closure,
-	// required by UseTopology (node-side forwarding cannot run a driver
-	// closure). When both Forward and ForwardRule are set they should
-	// derive identical hops; the conformance cells pin that.
+	// ForwardRule names the forward rule, registered on Class with
+	// DefineForward, that derives the next stage's arguments from a
+	// completed stage call. NewPipeline resolves it once, so the in-process
+	// forwarding advice and the worker nodes' forward lanes (UseTopology)
+	// run the same function. An unknown name panics; empty forwards the
+	// sub-call arguments unchanged.
 	ForwardRule string
 }
 
@@ -112,6 +94,7 @@ type PipelineConfig struct {
 // of stages, method-call split, and stage-to-stage forwarding.
 type Pipeline struct {
 	cfg     PipelineConfig
+	rule    ForwardFunc    // resolved cfg.ForwardRule; nil forwards the args
 	head    *aspect.Aspect // duplication + split (outermost)
 	forward *aspect.Aspect // forwarding (server side, inner)
 
@@ -130,6 +113,13 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		panic(fmt.Sprintf("par: invalid pipeline config %+v", cfg))
 	}
 	p := &Pipeline{cfg: cfg, next: make(map[any]any), index: make(map[any]int)}
+	if cfg.ForwardRule != "" {
+		rule, ok := cfg.Class.ForwardRule(cfg.ForwardRule)
+		if !ok {
+			panic(fmt.Sprintf("par: class %s registered no forward rule %q", cfg.Class.Name(), cfg.ForwardRule))
+		}
+		p.rule = rule
+	}
 
 	newPC := aspect.New(cfg.Class.Name())
 	callPC := aspect.Call(cfg.Class.Name(), cfg.Method)
@@ -211,34 +201,18 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	})
 
 	// Call forwarding (block 3): after a stage processed a call, propagate
-	// it to the next element. By default this advice sits inside
-	// distribution, so it runs where the stage lives (the server side
-	// re-enters the weaver); the generated call is itself woven, so it
-	// travels one middleware hop. With ClientForward it sits above
-	// distribution instead and runs at the caller — see PipelineConfig.
-	prec := precForward
-	if cfg.ClientForward {
-		prec = precClientForward
-	}
-	p.forward = aspect.NewAspect("pipeline-forward", prec)
+	// it to the next element. This advice sits inside distribution, so it
+	// runs where the stage lives (the in-process middlewares re-enter the
+	// weaver on the server side); the generated call is itself woven, so it
+	// travels one middleware hop. A process-separated middleware dispatches
+	// into the remote node's own domain, where this module is not plugged:
+	// there the installed topology (UseTopology) forwards instead.
+	p.forward = aspect.NewAspect("pipeline-forward", precForward)
 	p.forward.Around(callPC, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-		if p.installer() != nil {
-			// Peer-to-peer mode: hops run node-side under the installed
-			// topology, so caller-side forwarding stands aside entirely.
-			return proceed(nil)
-		}
-		if cfg.ClientForward && jp.Bool(MarkRemote) {
-			return proceed(nil)
-		}
 		p.mu.Lock()
 		nxt := p.next[jp.Target]
 		stage := p.index[jp.Target]
 		p.mu.Unlock()
-		if cfg.ClientForward && nxt != nil && jp.Bool(MarkVoid) {
-			// The caller must see the results to forward them, so the hop
-			// cannot ship as a bare-acknowledged void call.
-			jp.Set(MarkVoid, false)
-		}
 		res, err := proceed(nil)
 		if err != nil {
 			return res, err
@@ -247,8 +221,8 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 			return res, nil
 		}
 		fw := jp.Args
-		if cfg.Forward != nil {
-			fw = cfg.Forward(stage, res, jp.Args)
+		if p.rule != nil {
+			fw = p.rule(stage, res, jp.Args)
 		}
 		if fw == nil {
 			return res, nil
@@ -265,27 +239,16 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 // UseTopology arms peer-to-peer forwarding: when the pipeline's stages are
 // created, the module compiles the chain into a Topology (stage → placement
 // → successor) and installs it through mw on the worker nodes, whose forward
-// lanes then ship every stage-to-stage hop directly to the successor's peer
-// — the driver is no longer on the hop path, and stage 0's feed rides the
-// one-way send window. Requires a TopologyInstaller middleware (par.NetRMI)
-// and a ForwardRule registered on the class (the class "opts in" by naming
-// its forward derivation; see Class.DefineForward) — callers fall back to
-// ClientForward when either is missing, which is what the returned error
-// signals. Call it after NewPipeline and before the pipeline object is
-// created; it is mutually exclusive with ClientForward.
+// lanes then run the pipeline's ForwardRule and ship every stage-to-stage
+// hop directly to the successor's peer — the driver is no longer on the hop
+// path, and stage 0's feed rides the one-way send window. It is the only
+// forwarding path over a process-separated middleware, and requires one
+// that implements TopologyInstaller (par.NetRMI). Call it after NewPipeline
+// and before the pipeline object is created.
 func (p *Pipeline) UseTopology(mw Middleware) error {
-	if p.cfg.ClientForward {
-		return errors.New("par: UseTopology on a ClientForward pipeline")
-	}
 	ti, ok := mw.(TopologyInstaller)
 	if !ok {
 		return fmt.Errorf("par: middleware %s cannot install topologies", mw.MiddlewareName())
-	}
-	if p.cfg.ForwardRule == "" {
-		return fmt.Errorf("par: pipeline over %s names no ForwardRule (the class opts out of peer-to-peer forwarding)", p.cfg.Class.Name())
-	}
-	if _, ok := p.cfg.Class.ForwardRule(p.cfg.ForwardRule); !ok {
-		return fmt.Errorf("par: class %s registered no forward rule %q", p.cfg.Class.Name(), p.cfg.ForwardRule)
 	}
 	p.mu.Lock()
 	p.topo = ti
@@ -293,8 +256,7 @@ func (p *Pipeline) UseTopology(mw Middleware) error {
 	return nil
 }
 
-// installer returns the armed TopologyInstaller (nil in the caller-side
-// forwarding modes).
+// installer returns the armed TopologyInstaller (nil unless UseTopology).
 func (p *Pipeline) installer() TopologyInstaller {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -404,3 +404,142 @@ func TestPoolNamespaceIsolation(t *testing.T) {
 		t.Fatalf("driver B reads %d after A's reset, want 22", got)
 	}
 }
+
+// TestPoolOperatorCordonAndDrain drives the operator overrides poolctl
+// exposes. Cordon fires the OnCordon hook and takes the member out of
+// placements at once; Drain migrates its exports now, whatever the grace,
+// with their state intact; uncordoning fires the hook again and makes the
+// member eligible for new placements.
+func TestPoolOperatorCordonAndDrain(t *testing.T) {
+	r := startPoolRig(t)
+	r.addNode()
+	addrB := r.addNode()
+	pool, err := DialPool(r.regAddr,
+		WithPoolPoll(0), WithDrainGrace(time.Hour),
+		WithPoolNet(WithNetClock(r.v), WithFaultPolicy(FaultPolicy{Enabled: true})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	m := pool.Middleware()
+	b, ok := memberByAddr(pool.Members(), addrB)
+	if !ok {
+		t.Fatalf("member %s missing from %+v", addrB, pool.Members())
+	}
+
+	type flip struct {
+		node exec.NodeID
+		addr string
+		on   bool
+	}
+	var flips []flip
+	pool.OnCordon(func(node exec.NodeID, addr string, on bool) { flips = append(flips, flip{node, addr, on}) })
+
+	ctx := exec.Real()
+	obj, err := m.ExportNew(ctx, "PS1", b.Node, defineAcc(NewDomain(), nil, nil), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Invoke(ctx, obj, "Add", []any{int64(5)}, false); err != nil {
+		t.Fatal(err)
+	}
+	eligible := func(node exec.NodeID) bool {
+		for _, id := range m.eligibleIDs() {
+			if id == node {
+				return true
+			}
+		}
+		return false
+	}
+
+	pool.Cordon(b.Node, true)
+	if len(flips) != 1 || flips[0] != (flip{b.Node, addrB, true}) {
+		t.Fatalf("OnCordon saw %+v, want one cordon of %s", flips, addrB)
+	}
+	if mb, _ := memberByAddr(pool.Members(), addrB); !mb.Cordoned || mb.Drained {
+		t.Fatalf("after Cordon: %+v, want cordoned and not drained (grace pending)", mb)
+	}
+	if eligible(b.Node) {
+		t.Fatal("cordoned node still eligible for placements")
+	}
+
+	if err := pool.Drain(b.Node); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if mb, _ := memberByAddr(pool.Members(), addrB); !mb.Drained {
+		t.Fatalf("after Drain: %+v, want drained", mb)
+	}
+	if n, ok := m.NodeOf(obj); !ok || n == b.Node {
+		t.Fatalf("export still on node %d (placed=%v) after the drain", n, ok)
+	}
+	res, err := m.Invoke(ctx, obj, "Sum", nil, false)
+	if err != nil || res[0].(int64) != 5 {
+		t.Fatalf("sum after migration = %v, %v; want 5", res, err)
+	}
+
+	pool.Cordon(b.Node, false)
+	if len(flips) != 2 || flips[1] != (flip{b.Node, addrB, false}) {
+		t.Fatalf("OnCordon saw %+v, want the uncordon of %s last", flips, addrB)
+	}
+	if mb, _ := memberByAddr(pool.Members(), addrB); mb.Cordoned || mb.Drained {
+		t.Fatalf("after uncordon: %+v, want neither cordoned nor drained", mb)
+	}
+	if !eligible(b.Node) {
+		t.Fatal("uncordoned node not eligible for placements")
+	}
+}
+
+// TestPoolWatcherReconciles runs the background watcher on the rig's
+// virtual clock: each poll interval it reconciles against the registry, so
+// a joining daemon fires OnJoin without a manual Refresh; once the registry
+// is gone, the failed passes accumulate for Err instead of stopping the
+// loop; Close stops it.
+func TestPoolWatcherReconciles(t *testing.T) {
+	r := startPoolRig(t)
+	r.addNode()
+	const poll = 50 * time.Millisecond
+	pool, err := DialPool(r.regAddr, WithPoolPoll(poll), WithPoolNet(WithNetClock(r.v)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	joined := make(chan string, 1)
+	pool.OnJoin(func(node exec.NodeID, addr string) { joined <- addr })
+
+	// advanceUntil steps virtual time one poll at a time until done holds.
+	advanceUntil := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("watcher never %s", what)
+			}
+			r.v.Advance(poll)
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	addrB := r.addNode()
+	var got string
+	advanceUntil("saw the join", func() bool {
+		select {
+		case got = <-joined:
+			return true
+		default:
+			return false
+		}
+	})
+	if got != addrB {
+		t.Fatalf("OnJoin saw %s, want %s", got, addrB)
+	}
+	if n := pool.Middleware().Nodes(); n != 2 {
+		t.Fatalf("table has %d nodes after the join, want 2", n)
+	}
+	if err := pool.Err(); err != nil {
+		t.Fatalf("healthy watcher recorded %v", err)
+	}
+
+	r.regSrv.Close()
+	advanceUntil("recorded the lost registry", func() bool { return pool.Err() != nil })
+	pool.Close()
+}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,5 +195,152 @@ func TestRealBackendStealStress(t *testing.T) {
 	}
 	if !farm.Quiet() {
 		t.Error("farm not quiet after Join")
+	}
+}
+
+// TestStealSchedulerWorkerSetAndOrphans pins the scheduler's elastic and
+// fault hooks directly: addWorker widens the worker set copy-on-write (and
+// extends the placement table only when one is installed), requeueOrphan
+// hands a lost replica's pack to the next worker's deque without touching
+// the termination counter, and noteDeadWorker aborts the round only when
+// the last worker dies with packs outstanding.
+func TestStealSchedulerWorkerSetAndOrphans(t *testing.T) {
+	s := newStealScheduler(StealConfig{}, 2)
+	before := s.workers()
+	if i := s.addWorker(5); i != 2 {
+		t.Fatalf("addWorker index = %d, want 2", i)
+	}
+	ws := s.workers()
+	if len(ws.deques) != 3 || ws.nodes != nil {
+		t.Fatalf("after addWorker without placements: %d deques, nodes %v", len(ws.deques), ws.nodes)
+	}
+	if len(before.deques) != 2 || before.deques[1] != ws.deques[1] {
+		t.Fatal("addWorker mutated the old snapshot or replaced a live deque")
+	}
+	s.setNodes([]exec.NodeID{0, 1, 5})
+	if i := s.addWorker(7); i != 3 {
+		t.Fatalf("addWorker index = %d, want 3", i)
+	}
+	if got := s.workers().nodes; len(got) != 4 || got[2] != 5 || got[3] != 7 {
+		t.Fatalf("placements after addWorker = %v, want [0 1 5 7]", got)
+	}
+
+	// One pack outstanding, lost on the last worker's replica: it wraps
+	// round to worker 0, which takes it like any local pack.
+	s.remaining.Add(1)
+	s.requeueOrphan(3, []any{payload(1, 2, 3)})
+	if s.remaining.Load() != 1 {
+		t.Fatalf("requeueOrphan changed remaining to %d", s.remaining.Load())
+	}
+	pk, ok := s.take(0)
+	if !ok || len(pk.args) != 1 {
+		t.Fatalf("worker 0 did not receive the orphan: %+v, %v", pk, ok)
+	}
+
+	for i := 0; i < 3; i++ {
+		if s.noteDeadWorker() {
+			t.Fatalf("death %d of 4 aborted the round", i+1)
+		}
+	}
+	if s.drained() {
+		t.Fatal("round drained with a pack outstanding and a live worker")
+	}
+	if !s.noteDeadWorker() || !s.drained() {
+		t.Fatal("the last worker's death with a pack outstanding must abort the round")
+	}
+
+	// Every worker dead but nothing outstanding: a clean finish, no abort.
+	idle := newStealScheduler(StealConfig{}, 1)
+	if idle.noteDeadWorker() || idle.aborted.Load() {
+		t.Fatal("a dead worker with no packs outstanding aborted the round")
+	}
+}
+
+// TestFarmGrow widens a stealing farm on the real backend. Grow refuses a
+// non-stealing farm and one whose object does not exist yet. Mid-round,
+// while the only original worker is held inside its first pack, the grown
+// replica joins the same round and steals the queued packs; between rounds
+// a grown replica waits for the next dispatch. No pack is lost or run twice.
+func TestFarmGrow(t *testing.T) {
+	_, plain := defineBox(t)
+	if _, err := NewFarm(FarmConfig{Class: plain, Method: "Work", Workers: 2}).Grow(exec.Real(), 0); err == nil {
+		t.Error("Grow on a non-stealing farm should fail")
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	dom := NewDomain()
+	class := dom.Define("Gate",
+		func(args []any) (any, error) { return &box{}, nil },
+		map[string]MethodBody{
+			"Work": func(target any, args []any) ([]any, error) {
+				if held.CompareAndSwap(false, true) {
+					close(started)
+					<-release
+				}
+				target.(*box).work(args[0].([]int32))
+				return nil, nil
+			},
+		})
+	farm := NewFarm(FarmConfig{
+		Class: class, Method: "Work", Workers: 1,
+		Split: splitBy(1), Stealing: true, Window: 1,
+	})
+	stack := NewStack(dom, farm)
+	ctx := exec.Real()
+	if _, err := farm.Grow(ctx, 0); err == nil {
+		t.Error("Grow before the farm object exists should fail")
+	}
+
+	data := payload(1, 2, 3, 4, 5, 6, 7, 8)
+	obj, err := class.New(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := class.Call(ctx, obj, "Work", data); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	grown, err := farm.Grow(ctx, 1)
+	if err != nil {
+		t.Fatalf("Grow mid-round: %v", err)
+	}
+	// The grown worker must absorb queued packs while worker 0 is held.
+	deadline := time.Now().Add(10 * time.Second)
+	for grown.(*box).sum() == 0 {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the grown replica never stole a pack from the running round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := stack.Join(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Between rounds the replica joins the managed set; the next dispatch
+	// deals it a deque.
+	if _, err := farm.Grow(ctx, 2); err != nil {
+		t.Fatalf("Grow between rounds: %v", err)
+	}
+	if _, err := class.Call(ctx, obj, "Work", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := stack.Join(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(farm.Managed()); n != 3 {
+		t.Fatalf("farm has %d replicas, want 3", n)
+	}
+	var got int64
+	for _, w := range farm.Managed() {
+		got += w.(*box).sum()
+	}
+	if want := int64(2 * 36); got != want {
+		t.Errorf("total = %d, want %d (packs lost or duplicated across Grow)", got, want)
+	}
+	if st := farm.StealStats(); st.Executed != st.Seeded+st.Splits || st.Steals == 0 {
+		t.Errorf("steal accounting: %+v", st)
 	}
 }

@@ -25,10 +25,10 @@ import (
 // consecutive full polls, no hop can be in flight anywhere — the pipeline is
 // quiescent. Hops whose peer connection died are STRANDED at the forwarding
 // node; the driver collects them in the same poll and redelivers through its
-// own stubs (journaled under a fault policy) — the automatic ClientForward
-// fallback for exactly the hops that need it. After a placement change (a
-// reincarnated or failed-over stage) the topology is re-pushed under a
-// bumped version, healing the broken hop for subsequent traffic.
+// own stubs (journaled under a fault policy), so only the hops that need it
+// double back through the driver. After a placement change (a reincarnated
+// or failed-over stage) the topology is re-pushed under a bumped version,
+// healing the broken hop for subsequent traffic.
 
 // Topology is the compiled placement plan of one distributed pipeline: for
 // each stage, its export name, its hosting node and that node's dialable
@@ -39,7 +39,8 @@ type Topology struct {
 	Class string
 	// Method is the processing method whose completions forward.
 	Method string
-	// Rule is the class's named forward rule (Class.DefineForward).
+	// Rule is the class's named forward rule (Class.DefineForward); empty
+	// forwards each stage call's arguments unchanged.
 	Rule string
 	// Version orders installs: nodes ignore topologies older than the one
 	// they hold, so a re-push after failover cannot be undone by a racing
@@ -84,7 +85,7 @@ type TopologyStats struct {
 	// came back to the driver.
 	Stranded int64
 	// Redelivered counts stranded hops the driver redelivered through its
-	// own stubs (the ClientForward fallback path).
+	// own stubs.
 	Redelivered int64
 }
 
@@ -104,10 +105,10 @@ type netTopo struct {
 // NetRefs this middleware exported; their placements are read from the
 // registry and resolved to addresses through the node table.
 func (m *NetRMI) InstallPipeline(class *Class, method, rule string, stages []any) (*Topology, error) {
-	if method == "" || rule == "" || len(stages) == 0 {
-		return nil, fmt.Errorf("par: InstallPipeline wants a method, a rule and stages (got %q, %q, %d stages)", method, rule, len(stages))
+	if method == "" || len(stages) == 0 {
+		return nil, fmt.Errorf("par: InstallPipeline wants a method and stages (got %q, %d stages)", method, len(stages))
 	}
-	if _, ok := class.ForwardRule(rule); !ok {
+	if _, ok := class.ForwardRule(rule); rule != "" && !ok {
 		return nil, fmt.Errorf("par: class %s registered no forward rule %q", class.Name(), rule)
 	}
 	t := &Topology{Class: class.Name(), Method: method, Rule: rule, Stages: make([]TopologyStage, len(stages))}
@@ -319,12 +320,12 @@ func (m *NetRMI) PumpTopology() (quiet bool, err error) {
 		}
 	}
 
-	// Redeliver strands through the driver's own stubs — the ClientForward
-	// fallback. The target is resolved by stage index against the CURRENT
-	// references, so a strand for a since-re-homed stage lands on the new
-	// incarnation (and, under a fault policy, is journaled like any driver
-	// call). Redelivered hops re-enter the forward lane at their target, so
-	// the chain continues peer-to-peer past the healed hop.
+	// Redeliver strands through the driver's own stubs. The target is
+	// resolved by stage index against the CURRENT references, so a strand
+	// for a since-re-homed stage lands on the new incarnation (and, under a
+	// fault policy, is journaled like any driver call). Redelivered hops
+	// re-enter the forward lane at their target, so the chain continues
+	// peer-to-peer past the healed hop.
 	for _, s := range strands {
 		if s.Stage < 0 || s.Stage >= len(nt.refs) {
 			errs = append(errs, fmt.Errorf("par: stranded hop for unknown stage %d (%s)", s.Stage, s.Name))

@@ -23,8 +23,8 @@ import (
 // at its target" — the soundness anchor of the driver's quiescence poll
 // (CtlPipePoll). A forward whose connection dies before the ack is STRANDED:
 // the node retains its arguments and hands them to the driver at the next
-// poll, and the driver redelivers through its own (fault-journaled) stubs —
-// the automatic ClientForward fallback for a broken hop.
+// poll, and the driver redelivers through its own (fault-journaled) stubs,
+// so only the broken hop doubles back through the driver.
 
 // Control verbs served under ControlName, in addition to the creation
 // protocol (see node.go).
@@ -32,6 +32,7 @@ const (
 	// CtlTopology installs (or re-installs, under a higher version) a
 	// pipeline topology: args are the wire form produced by the driver —
 	// version int64, method, rule string, names []string, addrs []string.
+	// An empty rule forwards each stage call's arguments unchanged.
 	// names[i] is stage i's bound object name and addrs[i] the address of
 	// the node hosting it; the node keeps hops for the stages bound locally.
 	CtlTopology = "Topology"
@@ -107,7 +108,7 @@ func init() {
 type pipeHop struct {
 	stage    int    // this stage's index
 	method   string // the processing method whose completions forward
-	rule     string // the class's named forward rule
+	rule     string // the class's named forward rule ("" forwards the args)
 	next     string // successor's bound name ("" at the terminal stage)
 	nextAddr string // successor's hosting node address
 	broken   bool   // transport to the successor failed at this version
@@ -286,19 +287,21 @@ func (r *pipeRouter) afterDispatch(name string, servant Servant, method string, 
 	rule, stage := hop.rule, hop.stage
 	r.mu.Unlock()
 
-	rf, ok := servant.(RuleForwarder)
-	if !ok {
-		r.fail(fmt.Sprintf("rmi: stage %s: servant has no forward rules (topology installed for a class that opts out)", name))
-		return
-	}
-	fn, ok := rf.ForwardRule(rule)
-	if !ok {
-		r.fail(fmt.Sprintf("rmi: stage %s: class registered no forward rule %q", name, rule))
-		return
-	}
-	fw := fn(stage, results, args)
-	if fw == nil {
-		return // the rule stopped propagation at this stage
+	fw := args // no rule: the hop carries the stage's own arguments
+	if rule != "" {
+		rf, ok := servant.(RuleForwarder)
+		if !ok {
+			r.fail(fmt.Sprintf("rmi: stage %s: servant has no forward rules", name))
+			return
+		}
+		fn, ok := rf.ForwardRule(rule)
+		if !ok {
+			r.fail(fmt.Sprintf("rmi: stage %s: class registered no forward rule %q", name, rule))
+			return
+		}
+		if fw = fn(stage, results, args); fw == nil {
+			return // the rule stopped propagation at this stage
+		}
 	}
 
 	r.mu.Lock()

@@ -312,14 +312,17 @@ func (s *hopServant) ForwardRule(rule string) (func(int, []any, []any) []any, bo
 // whose hops run peer-to-peer: the forwarding node dials its successor
 // offering its own preferred codec, so the hop runs on binary — and against
 // a gob-only successor the handshake falls back, with every hop delivered.
+// A topology without a rule forwards each stage call's own arguments.
 func TestTopologyPeerHopsNegotiateBinary(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		successor []Option
 		wantBin   bool
+		rule      string
 	}{
-		{"binary", nil, true},
-		{"gob-only-successor", []Option{WithCodecs(GobCodec())}, false},
+		{"binary", nil, true, "next"},
+		{"gob-only-successor", []Option{WithCodecs(GobCodec())}, false, "next"},
+		{"no-rule", nil, true, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			start := func(opts []Option) (*Node, *hopServant, string) {
@@ -357,7 +360,7 @@ func TestTopologyPeerHopsNegotiateBinary(t *testing.T) {
 					}
 				}
 			}
-			if _, err := headCtl.Invoke(CtlTopology, int64(1), "Push", "next", names, addrs); err != nil {
+			if _, err := headCtl.Invoke(CtlTopology, int64(1), "Push", c.rule, names, addrs); err != nil {
 				t.Fatal(err)
 			}
 			const frames = 40

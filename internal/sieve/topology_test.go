@@ -4,17 +4,12 @@ import (
 	"testing"
 )
 
-// These tests are the conformance harness of peer-to-peer pipeline
-// forwarding (par.Topology): the same pipeline cells over the real
-// middleware, once with the stage topology installed on the nodes (the
-// default — hops run node-to-node) and once forced onto the ClientForward
-// fallback (every hop doubles back through the driver). The two modes must
-// compute byte-equal primes, and the driver's traffic counters must show
-// that topology mode actually removed the per-hop doubling.
-
-// TestPipelineTopologyMatchesClientForward pins the two forwarding modes
-// byte-equal against each other and against the hand-coded oracle, for both
-// concurrency settings of the pipeline cells.
+// TestPipelineTopologyMatchesClientForward pins peer-to-peer forwarding
+// byte-equal against the forwarding that runs in the driver's process: the
+// same pipeline cell over the simulated middleware, where the forward
+// advice applies the "survivors" rule in-process. Both must equal the
+// hand-coded oracle, for both concurrency settings of the pipeline cells,
+// and the real-middleware run must have carried its hops node-side.
 func TestPipelineTopologyMatchesClientForward(t *testing.T) {
 	requireLoopback(t)
 	p := netParams()
@@ -29,66 +24,67 @@ func TestPipelineTopologyMatchesClientForward(t *testing.T) {
 			if err != nil {
 				t.Fatalf("topology run: %v", err)
 			}
-			cf := p
-			cf.PipeClientForward = true
-			cfRes, err := RunCombo(c, cf)
+			local := c
+			local.Distribution = DistRMI
+			localRes, err := RunCombo(local, p)
 			if err != nil {
-				t.Fatalf("client-forward run: %v", err)
+				t.Fatalf("in-process forwarding run: %v", err)
 			}
 			assertPrimesEqual(t, topoRes.Primes, want)
-			assertPrimesEqual(t, cfRes.Primes, topoRes.Primes)
-
-			// The hops must actually have run peer-to-peer: over two real
-			// TCP nodes with three round-robin stages, every stage boundary
-			// crosses processes, so the nodes' forward lanes — not the
-			// driver — carried the stage-to-stage traffic.
+			assertPrimesEqual(t, localRes.Primes, topoRes.Primes)
 			if topoRes.Topo.PeerForwards == 0 {
 				t.Errorf("topology run forwarded no hops node-side (stats %+v)", topoRes.Topo)
 			}
-			if topoRes.Topo.Stranded != 0 || topoRes.Topo.Redelivered != 0 {
-				t.Errorf("healthy run stranded hops: %+v", topoRes.Topo)
-			}
-			if topoRes.Topo.Installs == 0 {
-				t.Errorf("topology was never installed (stats %+v)", topoRes.Topo)
-			}
-			if cfRes.Topo.PeerForwards != 0 {
-				t.Errorf("client-forward run used the forward lane: %+v", cfRes.Topo)
+			if localRes.Topo.PeerForwards != 0 {
+				t.Errorf("in-process run used a node forward lane: %+v", localRes.Topo)
 			}
 		})
 	}
 }
 
-// TestPipelineTopologyNoPerHopDoubling is the traffic-stats acceptance
-// criterion: with the topology installed the driver's messages cover only
-// placements, the one-way feed of stage 0 and the result collection — each
-// inner hop runs node-to-node, unseen by the driver's counters. The
-// ClientForward fallback ships every hop out and back through the driver, so
-// for a three-stage pipeline its driver traffic must come out well above the
-// peer-to-peer run's.
+// TestPipelineTopologyNoPerHopDoubling is the conformance and traffic cell
+// of peer-to-peer pipeline forwarding (par.Topology) over the real
+// middleware. The pipeline runs at 3 and at 6 stages and must compute
+// exactly the hand-coded oracle's primes both times. Each added stage adds
+// one stage boundary, which the nodes' forward lanes cross once per pack;
+// the driver only places the stage and polls for quiescence, so its
+// traffic grows by less than the added peer hops — no hop doubles back
+// through the driver.
 func TestPipelineTopologyNoPerHopDoubling(t *testing.T) {
 	requireLoopback(t)
 	p := netParams()
-	c := Combo{Partition: PartPipeline, Concurrency: ConcNone, Distribution: DistNet}
-	topoRes, err := RunCombo(c, p)
+	want, err := HandSequential(p.Max)
 	if err != nil {
-		t.Fatalf("topology run: %v", err)
+		t.Fatal(err)
 	}
-	cf := p
-	cf.PipeClientForward = true
-	cfRes, err := RunCombo(c, cf)
-	if err != nil {
-		t.Fatalf("client-forward run: %v", err)
-	}
-	if topoRes.Comm.Messages == 0 {
-		t.Fatal("topology run counted no driver traffic at all")
-	}
-	if cfRes.Comm.Messages < 2*topoRes.Comm.Messages {
-		t.Errorf("driver traffic: topology %d messages vs client-forward %d — expected the fallback to at least double (3 stages of doubling back)",
-			topoRes.Comm.Messages, cfRes.Comm.Messages)
-	}
-	// Every hop the fallback shipped through the driver ran node-to-node in
-	// topology mode: one forward per non-empty pack per stage boundary.
-	if got, min := topoRes.Topo.PeerForwards, int64(p.Packs); got < min {
-		t.Errorf("PeerForwards = %d, want at least one per pack (%d)", got, min)
+	for _, conc := range []ConcurrencyKind{ConcNone, ConcAsync} {
+		c := Combo{Partition: PartPipeline, Concurrency: conc, Distribution: DistNet}
+		t.Run(c.String(), func(t *testing.T) {
+			var runs []Result
+			for _, stages := range []int{3, 6} {
+				q := p
+				q.Filters = stages
+				res, err := RunCombo(c, q)
+				if err != nil {
+					t.Fatalf("%d stages: %v", stages, err)
+				}
+				assertPrimesEqual(t, res.Primes, want)
+				// Every pack survives every stage at this size, so each of
+				// the stages-1 boundaries carries one hop per pack.
+				if got, want := res.Topo.PeerForwards, int64((stages-1)*p.Packs); got != want {
+					t.Errorf("%d stages: PeerForwards = %d, want %d", stages, got, want)
+				}
+				if res.Topo.Stranded != 0 || res.Topo.Redelivered != 0 || res.Topo.Installs == 0 {
+					t.Errorf("%d stages: healthy run topology stats %+v", stages, res.Topo)
+				}
+				runs = append(runs, res)
+			}
+			hops := runs[1].Topo.PeerForwards - runs[0].Topo.PeerForwards
+			msgs := runs[1].Comm.Messages - runs[0].Comm.Messages
+			t.Logf("driver messages %d → %d for peer hops %d → %d", runs[0].Comm.Messages, runs[1].Comm.Messages, runs[0].Topo.PeerForwards, runs[1].Topo.PeerForwards)
+			if msgs >= hops {
+				t.Errorf("3 added stages cost the driver %d messages for %d peer hops: the hops doubled back through it", msgs, hops)
+			}
+		})
 	}
 }

@@ -309,12 +309,6 @@ type Params struct {
 	// streams (objects assigned round-robin, per-object FIFO preserved);
 	// values below 2 keep the single pipelined lane.
 	NetStreams int
-	// PipeClientForward forces a DistNet pipeline run onto the caller-side
-	// forwarding fallback (PipelineConfig.ClientForward): every hop's
-	// results double back through the driver. The default routes hops
-	// peer-to-peer under an installed par.Topology; the conformance cells
-	// pin both modes byte-equal.
-	PipeClientForward bool
 	// Faults enables NetRMI's fault-tolerance subsystem for DistNet runs:
 	// journaled calls, reconnect/replay across transport blips, state
 	// reconstruction after a node restart, placement failover off dead
@@ -447,10 +441,8 @@ func DefineClass(dom *par.Domain) *par.Class {
 		}).Wire(int32(0), []int32(nil)).
 		// The pipeline's forward derivation as a NAMED rule: pure data in,
 		// data out, registered identically in the driver and in every worker
-		// daemon (both call DefineClass), so a peer-to-peer topology can run
-		// it node-side. It must stay semantically identical to the Forward
-		// closure in build() — the conformance cells pin the two modes
-		// byte-equal.
+		// daemon (both call DefineClass), so the in-process forwarding advice
+		// and a peer-to-peer topology's node-side lanes run one function.
 		DefineForward("survivors", func(stage int, results, args []any) []any {
 			if len(results) == 0 {
 				return nil
@@ -720,24 +712,8 @@ func build(c Combo, p Params) (*wiring, error) {
 			StageArgs: func(orig []any, stage int) []any {
 				return []any{ranges[stage][0], ranges[stage][1]}
 			},
-			Split: splitPacks(p.Packs, p.Skew, p.Filters),
-			Forward: func(stage int, results []any, args []any) []any {
-				if len(results) == 0 {
-					return nil
-				}
-				survivors, _ := results[0].([]int32)
-				if len(survivors) == 0 {
-					return nil
-				}
-				return []any{survivors}
-			},
-			// Over the real middleware the remote nodes' domains cannot run
-			// this module's forwarding advice. The default ships the stage
-			// topology to the nodes instead (UseTopology below), so hops run
-			// peer-to-peer; PipeClientForward forces the caller-side
-			// fallback, where every hop doubles back through the driver.
-			ForwardRule:   "survivors",
-			ClientForward: c.Distribution == DistNet && p.PipeClientForward,
+			Split:       splitPacks(p.Packs, p.Skew, p.Filters),
+			ForwardRule: "survivors",
 		})
 		mods = append(mods, w.pipe)
 
@@ -783,9 +759,10 @@ func build(c Combo, p Params) (*wiring, error) {
 		w.net = env
 		w.dist = par.NewDistribution(w.dom, newPF, callAny, env.mw, env.placement())
 		mods = append(mods, w.dist)
-		if w.pipe != nil && !p.PipeClientForward {
-			// Arm peer-to-peer forwarding: stage creation will compile and
-			// install the par.Topology on the worker daemons.
+		if w.pipe != nil {
+			// The remote nodes' domains cannot run this module's forwarding
+			// advice: stage creation compiles and installs the par.Topology
+			// on the worker daemons instead, so hops run peer-to-peer.
 			if err := w.pipe.UseTopology(env.mw); err != nil {
 				env.close()
 				return nil, err
